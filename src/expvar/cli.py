@@ -148,6 +148,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_json(path: Path, kind: str):
+    """Parse the JSON file at ``path``; ``kind`` names it in errors."""
+    if not path.exists():
+        raise ConfigError(f"{kind} file does not exist: {path}")
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid JSON in {path}: {exc}") from None
+
+
 def _resolve_config(args: argparse.Namespace) -> AnalysisConfig:
     config = AnalysisConfig(command=args.command)
     flags = {
@@ -181,12 +191,7 @@ def _resolve_config(args: argparse.Namespace) -> AnalysisConfig:
             setattr(config, key, value)
     if args.config:
         path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file does not exist: {path}")
-        try:
-            overrides = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in {path}: {exc}") from None
+        overrides = _read_json(path, "config")
         if not isinstance(overrides, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
         renames = {"format": "formats"}
@@ -277,12 +282,7 @@ def _tree_design(config: AnalysisConfig) -> TreeDesign:
     if not config.design:
         raise ConfigError("--design JSON file is required for simulate")
     path = Path(config.design)
-    if not path.exists():
-        raise ConfigError(f"design file does not exist: {path}")
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {path}: {exc}") from None
+    obj = _read_json(path, "design")
     try:
         design = TreeDesign(
             combos=tuple((c[0], c[1], float(c[2])) for c in obj["combos"]),
@@ -328,13 +328,7 @@ def cmd_simulate(config: AnalysisConfig) -> int:
 def cmd_sample_hparams(config: AnalysisConfig) -> int:
     if not config.space:
         raise ConfigError("--space JSON file is required for sample-hparams")
-    path = Path(config.space)
-    if not path.exists():
-        raise ConfigError(f"space file does not exist: {path}")
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {path}: {exc}") from None
+    obj = _read_json(Path(config.space), "space")
     space = {name: HyperparamDistribution.from_json(d) for name, d in obj.items()}
     configs = sample_hyperparams(space, config.n, config.seed or 0)
     names = list(space)

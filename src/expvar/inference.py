@@ -18,11 +18,10 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .data import ModelSpec
 from .design import DesignMatrices, drop_random_factor_design
-from .lmm import FitOptions, FittedLMM, fit_lmm
+from .lmm import FitOptions, FittedLMM, _cho_solve, _cholesky, fit_lmm
 from .tails import chisq_sf, f_sf, t_sf, t_quantile
 
 log = logging.getLogger(__name__)
@@ -119,7 +118,9 @@ def ranova(dm: DesignMatrices, y: np.ndarray, spec: ModelSpec,
         reduced = fit_lmm(reduced_dm, y, criterion=criterion, opts=opts)
         lrt = 2.0 * (full.loglik - reduced.loglik)
         if lrt < 0:
-            log.warning("LRT for %r clamped to 0 (was %.3e)", factor, lrt)
+            # a dip within the fits' own deviance tolerance is float noise
+            if -lrt > (opts or FitOptions()).tol:
+                log.warning("LRT for %r clamped to 0 (was %.3e)", factor, lrt)
             lrt = 0.0
         df = full.npar - reduced.npar
         ok = full.converged and reduced.converged
@@ -207,14 +208,14 @@ def _omega_covariance(fit) -> np.ndarray:
     steps = _fd_hessian_steps(omega)
     H = _fd_hessian(fit.deviance_at_omega, omega, steps)
     try:
-        cho = scipy.linalg.cho_factor(H, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError:
+        cho = _cholesky(H, clean=False)
+    except np.linalg.LinAlgError:
         raise InferenceError(
             "variance-parameter information matrix is not positive definite; "
             "this usually means a variance estimate sits at the boundary "
             "(some sigma^2 = 0), where the Satterthwaite correction is "
             "undefined") from None
-    return 2.0 * scipy.linalg.cho_solve(cho, np.eye(omega.size), check_finite=False)
+    return 2.0 * _cho_solve(cho, np.eye(omega.size))
 
 
 def satterthwaite_df(fit, c: np.ndarray, omega_cov: np.ndarray | None = None) -> float:

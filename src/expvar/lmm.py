@@ -7,7 +7,8 @@ minimizes the deviance over theta, the per-factor standard deviations
 relative to the residual one. The inner solve is a Cholesky factorization
 of the penalized least-squares system, so the marginal covariance is never
 formed explicitly; the dense-covariance formula is kept as a test oracle
-only.
+only. The solve calls LAPACK directly: at paper size the factorizations
+take microseconds, and scipy.linalg's argument handling would cost more.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 import scipy.optimize
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .data import ModelSpec, DataError
 from .design import DesignMatrices
@@ -109,6 +110,48 @@ def fit_ols(dm: DesignMatrices, y: np.ndarray) -> OLSFit:
                   vcov_beta=sigma2 * xtx_inv, rss=rss, degenerate=degenerate)
 
 
+def _cholesky(a: np.ndarray, clean: bool = True) -> np.ndarray:
+    """Lower Cholesky factor of a symmetric positive-definite matrix.
+
+    Reads the lower triangle of ``a`` only. With ``clean=False`` the upper
+    triangle of the result keeps the input's entries, as in
+    ``scipy.linalg.cho_factor``. Raises ``np.linalg.LinAlgError`` when
+    ``a`` is not positive definite.
+    """
+    c, info = dpotrf(a, lower=True, clean=clean)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrf")
+    return c
+
+
+def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``A x = b`` given the lower Cholesky factor ``c`` of A."""
+    x, info = dpotrs(c, b, lower=True)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrs")
+    return x
+
+
+def _solve_triangular(a: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
+    """Solve ``a x = b`` for triangular ``a``.
+
+    dtrtrs expects Fortran order, so a C-ordered ``a`` is passed as its
+    transpose with the system transposed, as ``scipy.linalg`` does.
+    """
+    if a.flags.f_contiguous:
+        x, info = dtrtrs(a, b, lower=lower)
+    else:
+        x, info = dtrtrs(a.T, b, lower=not lower, trans=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: zero diagonal at {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dtrtrs")
+    return x
+
+
 class _Workspace:
     """Cross-products of (X, Z, y) reused across deviance evaluations."""
 
@@ -143,6 +186,7 @@ class _Workspace:
         for i, f in enumerate(self.factors):
             self.col_factor[dm.z_blocks[f]] = i
         self.n_factors = len(self.factors)
+        self._diag = np.diag_indices(self.q)
 
     @staticmethod
     def _canonical_order(dm: DesignMatrices, X: np.ndarray,
@@ -163,31 +207,27 @@ class _Workspace:
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.n_factors,):
             raise FitError(f"theta has shape {theta.shape}, expected ({self.n_factors},)")
-        if np.any(theta < 0):
+        if (theta < 0).any():
             raise FitError(f"theta must be non-negative, got {theta}")
         lam = theta[self.col_factor] if self.q else np.zeros(0)
         if self.q:
             A = (lam[:, None] * self.ZtZ) * lam[None, :]
-            A[np.diag_indices_from(A)] += 1.0
-            L = scipy.linalg.cholesky(A, lower=True, check_finite=False)
-            rzx = scipy.linalg.solve_triangular(L, lam[:, None] * self.ZtX,
-                                                lower=True, check_finite=False)
-            cu = scipy.linalg.solve_triangular(L, lam * self.Zty,
-                                               lower=True, check_finite=False)
+            A[self._diag] += 1.0
+            L = _cholesky(A)
+            rzx = _solve_triangular(L, lam[:, None] * self.ZtX, lower=True)
+            cu = _solve_triangular(L, lam * self.Zty, lower=True)
             S = self.XtX - rzx.T @ rzx
-            logdet_lz = 2.0 * float(np.sum(np.log(np.diag(L))))
+            logdet_lz = 2.0 * float(np.log(L.diagonal()).sum())
         else:
             rzx = np.zeros((0, self.p))
             cu = np.zeros(0)
             S = self.XtX
             logdet_lz = 0.0
-        RX, low = scipy.linalg.cho_factor(S, lower=True, check_finite=False)
-        logdet_rx = 2.0 * float(np.sum(np.log(np.diag(RX))))
-        beta = scipy.linalg.cho_solve((RX, low), self.Xty - rzx.T @ cu,
-                                      check_finite=False)
+        RX = _cholesky(S, clean=False)
+        logdet_rx = 2.0 * float(np.log(RX.diagonal()).sum())
+        beta = _cho_solve(RX, self.Xty - rzx.T @ cu)
         if self.q:
-            u = scipy.linalg.solve_triangular(L.T, cu - rzx @ beta,
-                                              lower=False, check_finite=False)
+            u = _solve_triangular(L.T, cu - rzx @ beta, lower=False)
             b = lam * u
         else:
             u = np.zeros(0)
@@ -199,7 +239,7 @@ class _Workspace:
             resid = self.y - self.X @ beta - self.Z @ b
             pwrss = float(resid @ resid + u @ u)
         return dict(beta=beta, u=u, b=b, pwrss=pwrss, logdet_lz=logdet_lz,
-                    logdet_rx=logdet_rx, S=S, rx_factor=(RX, low))
+                    logdet_rx=logdet_rx, S=S, rx_factor=RX)
 
     def deviance(self, theta: np.ndarray, reml: bool = True) -> float:
         """Profiled deviance (-2 log-likelihood) at theta."""
@@ -230,8 +270,7 @@ class _Workspace:
 
     def vcov_beta(self, theta: np.ndarray, sigma2: float) -> np.ndarray:
         s = self.solve(theta)
-        return sigma2 * scipy.linalg.cho_solve(s["rx_factor"], np.eye(self.p),
-                                               check_finite=False)
+        return sigma2 * _cho_solve(s["rx_factor"], np.eye(self.p))
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,10 +340,6 @@ class FittedLMM:
     def vcov_beta_at_omega(self, omega: np.ndarray) -> np.ndarray:
         theta, sigma2 = self._split_omega(omega)
         return self._ws.vcov_beta(theta, sigma2)
-
-    def blups_for(self, factor: str, dm: DesignMatrices) -> dict[str, float]:
-        block = dm.z_blocks[factor]
-        return dict(zip(dm.z_level_names[factor], self.blups[block]))
 
 
 def aic(npar: int, loglik: float) -> float:
@@ -497,8 +532,7 @@ def fit_lmm(dm: DesignMatrices, y: np.ndarray, criterion: str = "REML",
     def raw_objective(theta):
         try:
             return ws.deviance(theta, reml=reml)
-        except (scipy.linalg.LinAlgError, np.linalg.LinAlgError, FloatingPointError,
-                FitError):
+        except (np.linalg.LinAlgError, FloatingPointError, FitError):
             return math.inf
 
     objective = _CountedObjective(raw_objective)
@@ -535,8 +569,7 @@ def fit_lmm(dm: DesignMatrices, y: np.ndarray, criterion: str = "REML",
         sigma2_eps=float(sigma2_eps),
         theta=tuple(float(t) for t in theta_hat),
     )
-    vcov = sigma2_eps * scipy.linalg.cho_solve(sol["rx_factor"], np.eye(ws.p),
-                                               check_finite=False)
+    vcov = sigma2_eps * _cho_solve(sol["rx_factor"], np.eye(ws.p))
     vcov = 0.5 * (vcov + vcov.T)
     return FittedLMM(
         beta=sol["beta"], vc=vc, blups=sol["b"], loglik=-0.5 * dev,

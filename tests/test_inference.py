@@ -1,6 +1,10 @@
+import dataclasses
+import logging
+
 import numpy as np
 import pytest
 
+from expvar import inference
 from expvar.data import ModelSpec
 from expvar.design import build_design, contrast_rows, difference_rows, omnibus_rows
 from expvar.inference import (InferenceError, anova_fixed, contrasts, ranova,
@@ -64,6 +68,45 @@ def test_ranova_flags_unconverged_rows():
     for row in result.rows:
         assert not row.converged
         assert row.p_value is None
+
+
+def _boundary_seed_case():
+    """A sigma_seed = 0 table whose seed LRT dips to about -1e-11."""
+    ds = crossed_dataset(
+        combos=(("m-net", "adam", 0.45), ("protonet", "sgd", 0.62)),
+        sigma_seed=0.0, sigma_hparam=0.042334, sigma_eps=0.020828,
+        generator_seed=6)
+    return build_design(ds, ModelSpec()), ds.response()
+
+
+def test_ranova_float_noise_clamp_is_quiet(caplog):
+    dm, y = _boundary_seed_case()
+    with caplog.at_level(logging.WARNING, logger="expvar.inference"):
+        result = ranova(dm, y, ModelSpec())
+    seed_row = result.rows[0]
+    assert seed_row.factor == "seed"
+    assert 2.0 * (result.full_loglik - seed_row.loglik) < 0.0
+    assert seed_row.lrt == 0.0 and seed_row.p_value == 1.0
+    assert not [r for r in caplog.records if "clamped" in r.getMessage()]
+
+
+def test_ranova_clamp_beyond_tolerance_warns(caplog, monkeypatch):
+    # lift each reduced fit's loglik by 1e-6: the seed LRT then dips far
+    # below the fits' 1e-8 deviance tolerance, which must still be reported
+    dm, y = _boundary_seed_case()
+
+    def lifted_fit(dm, y, **kwargs):
+        fit = fit_lmm(dm, y, **kwargs)
+        if len(dm.z_blocks) == 1:
+            fit = dataclasses.replace(fit, loglik=fit.loglik + 1e-6)
+        return fit
+
+    monkeypatch.setattr(inference, "fit_lmm", lifted_fit)
+    with caplog.at_level(logging.WARNING, logger="expvar.inference"):
+        result = ranova(dm, y, ModelSpec())
+    assert result.rows[0].lrt == 0.0
+    assert [r.getMessage() for r in caplog.records] == [
+        "LRT for 'seed' clamped to 0 (was -2.000e-06)"]
 
 
 def test_ml_lrt_never_negative():

@@ -1,10 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from expvar.data import Dataset, ExperimentRecord, ModelSpec
 from expvar.design import build_design
-from expvar.lmm import (DegenerateDataError, FitError, FitOptions, aic,
-                        drop_random_factor, fit_lmm, fit_ols, reml_deviance)
+from expvar.lmm import (DegenerateDataError, FitError, FitOptions, _Workspace,
+                        _cholesky, aic, drop_random_factor, fit_lmm, fit_ols,
+                        reml_deviance)
 
 from conftest import (ONE_WAY_SPEC, crossed_dataset, dense_reml_deviance,
                       one_way_dataset, ols_restricted_deviance)
@@ -260,3 +264,104 @@ def test_weights_interface_default_identity(fixture_a):
     weighted = fit_lmm(dm, y, opts=FitOptions(weights=np.ones(dm.n)))
     assert np.allclose(base.beta, weighted.beta, atol=1e-10)
     assert base.loglik == pytest.approx(weighted.loglik, abs=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# LAPACK-direct PLS solve against the scipy.linalg wrappers, bit for bit
+# ---------------------------------------------------------------------------
+
+
+class _ScipyWorkspace(_Workspace):
+    """The PLS solve written with scipy.linalg's wrappers: an exact oracle.
+
+    The library calls the same LAPACK routines directly with the same
+    arguments, so every float must match, not just agree to a tolerance.
+    """
+
+    def solve(self, theta):
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape != (self.n_factors,):
+            raise FitError(f"theta has shape {theta.shape}")
+        if np.any(theta < 0):
+            raise FitError(f"theta must be non-negative, got {theta}")
+        lam = theta[self.col_factor] if self.q else np.zeros(0)
+        if self.q:
+            A = (lam[:, None] * self.ZtZ) * lam[None, :]
+            A[np.diag_indices_from(A)] += 1.0
+            L = scipy.linalg.cholesky(A, lower=True, check_finite=False)
+            rzx = scipy.linalg.solve_triangular(L, lam[:, None] * self.ZtX,
+                                                lower=True, check_finite=False)
+            cu = scipy.linalg.solve_triangular(L, lam * self.Zty,
+                                               lower=True, check_finite=False)
+            S = self.XtX - rzx.T @ rzx
+            logdet_lz = 2.0 * float(np.sum(np.log(np.diag(L))))
+        else:
+            rzx = np.zeros((0, self.p))
+            cu = np.zeros(0)
+            S = self.XtX
+            logdet_lz = 0.0
+        RX, low = scipy.linalg.cho_factor(S, lower=True, check_finite=False)
+        logdet_rx = 2.0 * float(np.sum(np.log(np.diag(RX))))
+        beta = scipy.linalg.cho_solve((RX, low), self.Xty - rzx.T @ cu,
+                                      check_finite=False)
+        if self.q:
+            u = scipy.linalg.solve_triangular(L.T, cu - rzx @ beta,
+                                              lower=False, check_finite=False)
+            b = lam * u
+        else:
+            u = np.zeros(0)
+            b = u
+        pwrss = float(self.yty - (lam * self.Zty) @ u - self.Xty @ beta)
+        if pwrss < 1e-8 * max(self.yty, 1.0):
+            resid = self.y - self.X @ beta - self.Z @ b
+            pwrss = float(resid @ resid + u @ u)
+        return dict(beta=beta, u=u, b=b, pwrss=pwrss, logdet_lz=logdet_lz,
+                    logdet_rx=logdet_rx, S=S, rx_factor=(RX, low))
+
+    def vcov_beta(self, theta, sigma2):
+        s = self.solve(theta)
+        return sigma2 * scipy.linalg.cho_solve(s["rx_factor"], np.eye(self.p),
+                                               check_finite=False)
+
+
+_THETA_AXIS = (0.0, 1e-8, 0.3, 1.0, 1e4)
+
+
+def _solve_cases():
+    one_ds = one_way_dataset(seed=3)
+    one = build_design(one_ds, ONE_WAY_SPEC)
+    paper_ds = crossed_dataset(
+        combos=(("m-net", "adam", 0.45), ("protonet", "sgd", 0.62),
+                ("tadam", "adam", 0.70)),
+        sigma_seed=0.005559, sigma_hparam=0.042334, sigma_eps=0.020828,
+        generator_seed=5)
+    paper = build_design(paper_ds, ModelSpec())
+    zero = build_design(paper_ds, ModelSpec(random_factors=()))
+    y_paper = paper_ds.response()
+    w = np.random.default_rng(9).uniform(0.5, 2.0, paper.n)
+    return {"one_factor": (one, one_ds.response(), None),
+            "paper": (paper, y_paper, None),
+            "zero_factor": (zero, y_paper, None),
+            "weighted": (paper, y_paper, w)}
+
+
+@pytest.mark.parametrize("case", ["one_factor", "paper", "zero_factor", "weighted"])
+def test_lapack_solve_bit_identical_to_scipy_wrappers(case):
+    dm, y, w = _solve_cases()[case]
+    ws = _Workspace(dm, y, w)
+    oracle = _ScipyWorkspace(dm, y, w)
+    for theta in itertools.product(_THETA_AXIS, repeat=ws.n_factors):
+        theta = np.array(theta)
+        got, want = ws.solve(theta), oracle.solve(theta)
+        for key in ("beta", "u", "b", "pwrss", "logdet_lz", "logdet_rx"):
+            assert np.array_equal(got[key], want[key]), (key, theta)
+        for reml in (True, False):
+            assert ws.deviance(theta, reml=reml) == oracle.deviance(theta, reml=reml)
+            assert ws.deviance_at(theta, 0.7, reml=reml) == \
+                oracle.deviance_at(theta, 0.7, reml=reml)
+        assert np.array_equal(ws.vcov_beta(theta, 0.7), oracle.vcov_beta(theta, 0.7))
+
+
+def test_cholesky_helper_rejects_indefinite_matrix():
+    with pytest.raises(np.linalg.LinAlgError):
+        _cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
