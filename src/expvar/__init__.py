@@ -12,9 +12,8 @@ from .data import (Dataset, ExperimentRecord, ModelSpec, DataError, SchemaError,
                    load_csv, write_csv)
 from .design import (DesignError, DesignMatrices, build_design, contrast_rows,
                      difference_rows, omnibus_rows)
-from .lmm import (DegenerateDataError, FitError, FitOptions, FittedLMM, OLSFit,
-                  VarianceComponents, aic, drop_random_factor, fit_lmm, fit_ols,
-                  reml_deviance)
+from .lmm import (DegenerateDataError, FitError, FitOptions, FittedLMM,
+                  VarianceComponents, aic, fit_lmm, reml_deviance)
 from .inference import (AnovaRow, ContrastRow, InferenceError, LRTRow,
                         RanovaResult, anova_fixed, contrasts, ranova,
                         satterthwaite_df)
@@ -30,9 +29,8 @@ __all__ = [
     "write_csv",
     "DesignError", "DesignMatrices", "build_design", "contrast_rows",
     "difference_rows", "omnibus_rows",
-    "DegenerateDataError", "FitError", "FitOptions", "FittedLMM", "OLSFit",
-    "VarianceComponents", "aic", "drop_random_factor", "fit_lmm", "fit_ols",
-    "reml_deviance",
+    "DegenerateDataError", "FitError", "FitOptions", "FittedLMM",
+    "VarianceComponents", "aic", "fit_lmm", "reml_deviance",
     "AnovaRow", "ContrastRow", "InferenceError", "LRTRow", "RanovaResult",
     "anova_fixed", "contrasts", "ranova", "satterthwaite_df",
     "HyperparamDistribution", "SimulationError", "TreeDesign", "generate",

@@ -50,16 +50,16 @@ class AnalysisConfig:
     formats: tuple[str, ...] = ("csv", "json")
     seed: int | None = None
     criterion: str = "REML"
-    tol: float = 1e-8
-    max_evals: int = 500
-    multistart: tuple[float, ...] = (0.1, 1.0, 10.0)
+    tol: float = FitOptions.tol
+    max_evals: int = FitOptions.max_evals_per_dim
+    multistart: tuple[float, ...] = FitOptions.multistart
     boundary_correction: bool = False
     confidence: float = 0.95
-    response: str = "accuracy"
-    fixed_factor: str = "model:optimizer"
-    random_factors: tuple[str, ...] = ("seed", "hparams")
-    coding: str = "treatment"
-    intercept: bool = True
+    response: str = ModelSpec.response
+    fixed_factor: str = ModelSpec.fixed_factor
+    random_factors: tuple[str, ...] = ModelSpec.random_factors
+    coding: str = ModelSpec.contrast_coding
+    intercept: bool = ModelSpec.include_intercept
     columns: dict = field(default_factory=dict)
     levels: tuple[str, ...] | None = None
     kind: str = "vs_grand"
@@ -87,6 +87,17 @@ class AnalysisConfig:
 
 def _csv_list(text: str) -> tuple[str, ...]:
     return tuple(s.strip() for s in text.split(",") if s.strip())
+
+
+def _column_renames(text: str) -> dict[str, str]:
+    """Parse ``role=column`` pairs of the --columns flag."""
+    renames = {}
+    for pair in _csv_list(text):
+        role, sep, column = pair.partition("=")
+        if not sep:
+            raise ConfigError(f"--columns entry {pair!r} is not of the form role=column")
+        renames[role] = column
+    return renames
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -178,8 +189,7 @@ def _resolve_config(args: argparse.Namespace) -> AnalysisConfig:
                            if args.random_factors else None),
         "coding": args.coding,
         "intercept": False if args.no_intercept else None,
-        "columns": (dict(pair.split("=", 1) for pair in _csv_list(args.columns))
-                    if args.columns else None),
+        "columns": _column_renames(args.columns) if args.columns else None,
         "levels": _csv_list(args.levels) if getattr(args, "levels", None) else None,
         "kind": getattr(args, "kind", None),
         "design": getattr(args, "design", None),
@@ -294,7 +304,9 @@ def _tree_design(config: AnalysisConfig) -> TreeDesign:
             rerun_mode=obj.get("rerun_mode", "deterministic"),
             generator_seed=int(obj.get("generator_seed", 0)),
             nested_configs=bool(obj.get("nested_configs", False)))
-    except (KeyError, TypeError, IndexError) as exc:
+    except SimulationError:
+        raise  # a ValueError too, but a statistical refusal (exit 1)
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ConfigError(f"malformed design file {path}: {exc}") from None
     if config.seed is not None:
         design = dataclasses.replace(design, generator_seed=config.seed)
@@ -328,7 +340,10 @@ def cmd_simulate(config: AnalysisConfig) -> int:
 def cmd_sample_hparams(config: AnalysisConfig) -> int:
     if not config.space:
         raise ConfigError("--space JSON file is required for sample-hparams")
-    obj = _read_json(Path(config.space), "space")
+    path = Path(config.space)
+    obj = _read_json(path, "space")
+    if not isinstance(obj, dict):
+        raise ConfigError(f"space file {path} must hold a JSON object")
     space = {name: HyperparamDistribution.from_json(d) for name, d in obj.items()}
     configs = sample_hyperparams(space, config.n, config.seed or 0)
     names = list(space)

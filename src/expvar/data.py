@@ -66,11 +66,6 @@ class ExperimentRecord:
             raise DataError(f"metric must be finite, got {self.metric!r}")
         object.__setattr__(self, "metric", float(self.metric))
 
-    def label(self, factor: str) -> str:
-        if factor not in FACTOR_COLUMNS:
-            raise DataError(f"unknown factor {factor!r}")
-        return getattr(self, factor)
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -101,10 +96,6 @@ class Dataset:
     @property
     def factor_names(self) -> tuple[str, ...]:
         return FACTOR_COLUMNS + tuple(self.derived)
-
-    @property
-    def factor_levels(self) -> dict[str, tuple[str, ...]]:
-        return {name: self.levels(name) for name in self.factor_names}
 
     def factor_values(self, name: str) -> tuple[str, ...]:
         """Per-record labels of a base or derived factor."""

@@ -60,30 +60,29 @@ class DesignMatrices:
         return tuple(self.z_blocks)
 
 
-def _fixed_matrix(codes: np.ndarray, levels: tuple[str, ...], coding: str,
-                  intercept: bool) -> tuple[np.ndarray, tuple[str, ...]]:
-    n = codes.shape[0]
+def _level_rows(levels: tuple[str, ...], coding: str,
+                intercept: bool) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Coefficient row of each level's group mean, and the column names.
+
+    Row j of the k x p matrix maps the coefficients to the mean of level
+    j, so X is this matrix indexed by the level codes and every contrast
+    is a difference of its rows. Treatment coding takes the first level
+    as the reference; sum-to-zero coding gives each non-last level an
+    effect column and the last level -1 in all of them.
+    """
     k = len(levels)
     if not intercept:
-        X = np.zeros((n, k))
-        X[np.arange(n), codes] = 1.0
-        return X, tuple(levels)
+        return np.eye(k), tuple(levels)
+    R = np.zeros((k, k))
+    R[:, 0] = 1.0
     if k == 1:
-        return np.ones((n, 1)), ("(Intercept)",)
+        return R, ("(Intercept)",)
     if coding == "treatment":
-        X = np.zeros((n, k))
-        X[:, 0] = 1.0
-        for j in range(1, k):
-            X[codes == j, j] = 1.0
-        return X, ("(Intercept)",) + tuple(levels[1:])
-    # sum-to-zero: one column per non-last level, last level rows get -1
-    X = np.zeros((n, k))
-    X[:, 0] = 1.0
-    last = k - 1
-    for j in range(0, k - 1):
-        X[codes == j, j + 1] = 1.0
-    X[codes == last, 1:] = -1.0
-    return X, ("(Intercept)",) + tuple(levels[:-1])
+        R[np.arange(1, k), np.arange(1, k)] = 1.0
+        return R, ("(Intercept)",) + tuple(levels[1:])
+    R[np.arange(k - 1), np.arange(1, k)] = 1.0
+    R[k - 1, 1:] = -1.0
+    return R, ("(Intercept)",) + tuple(levels[:-1])
 
 
 def _check_full_rank(X: np.ndarray, labels: tuple[str, ...]) -> None:
@@ -114,8 +113,9 @@ def build_design(dataset: Dataset, spec: ModelSpec) -> DesignMatrices:
                         f"have {sorted(dataset.factor_names)}")
     levels = dataset.levels(spec.fixed_factor)
     codes = dataset.level_codes(spec.fixed_factor)
-    X, column_map = _fixed_matrix(codes, levels, spec.contrast_coding,
-                                  spec.include_intercept)
+    rows, column_map = _level_rows(levels, spec.contrast_coding,
+                                   spec.include_intercept)
+    X = rows[codes]
     _check_full_rank(X, column_map)
 
     n = dataset.n
@@ -166,28 +166,15 @@ def drop_random_factor_design(dm: DesignMatrices, factor: str) -> DesignMatrices
                    z_level_names={f: dm.z_level_names[f] for f in keep})
 
 
-def _level_row(dm: DesignMatrices, level: str) -> np.ndarray:
-    """X-coefficient vector reproducing the given level's group mean."""
-    if level not in dm.fixed_levels:
-        raise DesignError(f"unknown level {level!r} of factor {dm.fixed_factor!r}")
-    j = dm.fixed_levels.index(level)
-    k = len(dm.fixed_levels)
-    row = np.zeros(dm.p)
-    if not dm.include_intercept:
-        row[j] = 1.0
-        return row
-    row[0] = 1.0
-    if k == 1:
-        return row
-    if dm.coding == "treatment":
-        if j > 0:
-            row[j] = 1.0
-    else:
-        if j < k - 1:
-            row[1 + j] = 1.0
-        else:
-            row[1:] = -1.0
-    return row
+def _rows_of(dm: DesignMatrices, levels) -> np.ndarray:
+    """Coefficient rows reproducing the given levels' group means."""
+    index = []
+    for level in levels:
+        if level not in dm.fixed_levels:
+            raise DesignError(f"unknown level {level!r} of factor {dm.fixed_factor!r}")
+        index.append(dm.fixed_levels.index(level))
+    rows, _ = _level_rows(dm.fixed_levels, dm.coding, dm.include_intercept)
+    return rows[index]
 
 
 def contrast_rows(dm: DesignMatrices, levels, kind: str = "auto") -> np.ndarray:
@@ -204,17 +191,18 @@ def contrast_rows(dm: DesignMatrices, levels, kind: str = "auto") -> np.ndarray:
         kind = "vs_reference" if dm.coding == "treatment" else "vs_grand"
     if kind not in ("vs_reference", "vs_grand"):
         raise DesignError(f"unknown contrast kind {kind!r}")
-    all_rows = np.vstack([_level_row(dm, lv) for lv in dm.fixed_levels])
+    all_rows = _rows_of(dm, dm.fixed_levels)
     if kind == "vs_reference":
         base = all_rows[0]
     else:
         base = all_rows.mean(axis=0)
-    return np.vstack([_level_row(dm, lv) - base for lv in levels])
+    return _rows_of(dm, levels) - base
 
 
 def difference_rows(dm: DesignMatrices, pairs) -> np.ndarray:
     """Contrast rows for level-vs-level differences, one per (a, b) pair."""
-    return np.vstack([_level_row(dm, a) - _level_row(dm, b) for a, b in pairs])
+    rows = _rows_of(dm, [level for pair in pairs for level in pair])
+    return rows[0::2] - rows[1::2]
 
 
 def omnibus_rows(dm: DesignMatrices) -> np.ndarray:

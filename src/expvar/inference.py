@@ -145,19 +145,25 @@ def _fd_hessian_steps(omega: np.ndarray) -> np.ndarray:
     return np.maximum(FD_HESSIAN_RELATIVE_STEP * np.abs(omega), FD_STEP_FLOOR)
 
 
-def _fd_gradient(fn, x: np.ndarray, steps: np.ndarray, lower: float = 0.0) -> np.ndarray:
-    """Central-difference gradient, one-sided at the domain boundary."""
-    g = np.zeros_like(x)
+def _fd_gradient(fn, x: np.ndarray, f0: np.ndarray, steps: np.ndarray,
+                 lower: float = 0.0) -> np.ndarray:
+    """Central-difference gradients, one-sided at the domain boundary.
+
+    ``fn`` maps x to an array of values and ``f0`` is ``fn(x)``; row r of
+    the result is the gradient of value r. Each stencil point costs one
+    call of ``fn``, whatever the number of values.
+    """
+    g = []
     for i, h in enumerate(steps):
         up = x.copy()
         up[i] += h
         if x[i] - h >= lower:
             dn = x.copy()
             dn[i] -= h
-            g[i] = (fn(up) - fn(dn)) / (2.0 * h)
+            g.append((fn(up) - fn(dn)) / (2.0 * h))
         else:
-            g[i] = (fn(up) - fn(x)) / h
-    return g
+            g.append((fn(up) - f0) / h)
+    return np.column_stack(g)
 
 
 def _axis_nodes(x: np.ndarray, i: int, h: float, lower: float) -> tuple[float, float]:
@@ -218,8 +224,8 @@ def _omega_covariance(fit) -> np.ndarray:
     return 2.0 * _cho_solve(cho, np.eye(omega.size))
 
 
-def satterthwaite_df(fit, c: np.ndarray, omega_cov: np.ndarray | None = None) -> float:
-    """Satterthwaite denominator degrees of freedom of one contrast.
+def satterthwaite_df(fit, c: np.ndarray) -> float | np.ndarray:
+    """Satterthwaite denominator degrees of freedom of contrasts.
 
     Computes df = 2 (c' V c)^2 / Var(c' V c), where V(omega) is the
     covariance of the fixed effects as a function of the variance
@@ -228,30 +234,37 @@ def satterthwaite_df(fit, c: np.ndarray, omega_cov: np.ndarray | None = None) ->
     Hessian of the deviance. The result is capped at the residual degrees
     of freedom n - p.
 
+    ``c`` is one contrast vector, giving a float, or a matrix with one
+    contrast per row, giving an array of dfs. All rows share one
+    evaluation of V per stencil point and one Var(omega_hat).
+
     ``fit`` may be any object with ``omega_hat``, ``converged``, ``nobs``,
     ``p``, ``vcov_beta_at_omega(omega)`` and ``deviance_at_omega(omega)``.
-    ``omega_cov`` lets callers reuse Var(omega_hat) across contrasts.
     """
-    c = np.asarray(c, dtype=float).reshape(-1)
-    if not np.any(c != 0.0):
+    single = np.ndim(c) < 2
+    C = np.atleast_2d(np.asarray(c, dtype=float))
+    if not np.all(np.any(C != 0.0, axis=1)):
         raise InferenceError("zero contrast vector has undefined degrees of freedom")
+    omega_cov = _omega_covariance(fit)
     if not fit.converged:
         raise InferenceError("fit did not converge; degrees of freedom unavailable")
     omega = fit.omega_hat
 
     def ctvc(w):
-        return float(c @ fit.vcov_beta_at_omega(w) @ c)
+        V = fit.vcov_beta_at_omega(w)
+        return np.array([float(row @ V @ row) for row in C])
 
-    value = ctvc(omega)
-    grad = _fd_gradient(ctvc, omega, _fd_steps(omega))
-    if omega_cov is None:
-        omega_cov = _omega_covariance(fit)
-    denom = float(grad @ omega_cov @ grad)
-    if denom <= 0:
-        raise InferenceError("non-positive variance of the contrast variance; "
-                             "Satterthwaite df undefined")
-    df = 2.0 * value * value / denom
-    return min(df, float(fit.nobs - fit.p))
+    values = ctvc(omega)
+    grads = _fd_gradient(ctvc, omega, values, _fd_steps(omega))
+    cap = float(fit.nobs - fit.p)
+    dfs = []
+    for value, grad in zip(values, grads):
+        denom = float(grad @ omega_cov @ grad)
+        if denom <= 0:
+            raise InferenceError("non-positive variance of the contrast variance; "
+                                 "Satterthwaite df undefined")
+        dfs.append(float(min(2.0 * value * value / denom, cap)))
+    return dfs[0] if single else np.array(dfs)
 
 
 def anova_fixed(fit: FittedLMM, L: np.ndarray, term: str = "fixed") -> AnovaRow:
@@ -282,9 +295,7 @@ def anova_fixed(fit: FittedLMM, L: np.ndarray, term: str = "fixed") -> AnovaRow:
 
     sigma2_eps = fit.vc.sigma2_eps
     sum_sq = k * f_value * sigma2_eps
-    omega_cov = _omega_covariance(fit)
-    nu = np.array([satterthwaite_df(fit, P[i], omega_cov=omega_cov)
-                   for i in range(k)])
+    nu = satterthwaite_df(fit, P)
     used = nu[nu > 2.0]
     den_df = None
     p_value = None
@@ -312,16 +323,17 @@ def contrasts(fit: FittedLMM, L: np.ndarray, level: float = 0.95,
         labels = [f"c{i}" for i in range(L.shape[0])]
     if len(labels) != L.shape[0]:
         raise InferenceError(f"{len(labels)} labels for {L.shape[0]} contrast rows")
-    omega_cov = _omega_covariance(fit)
+    nonzero = np.any(L != 0.0, axis=1)
+    dfs = iter(satterthwaite_df(fit, L[nonzero]).tolist())
     rows = []
-    for label, c in zip(labels, L):
-        if not np.any(c != 0.0):
+    for label, c, used in zip(labels, L, nonzero):
+        if not used:
             rows.append(ContrastRow(label=label, estimate=0.0, std_error=0.0,
                                     df=None, lower=0.0, upper=0.0, p_value=1.0))
             continue
         estimate = float(c @ fit.beta)
         std_error = float(np.sqrt(c @ fit.vcov_beta @ c))
-        df = satterthwaite_df(fit, c, omega_cov=omega_cov)
+        df = next(dfs)
         t_stat = estimate / std_error
         p = 2.0 * t_sf(abs(t_stat), df)
         half = t_quantile(0.5 + level / 2.0, df) * std_error

@@ -1,7 +1,7 @@
 """Linear mixed model estimation by profiled REML/ML deviance.
 
 The model is y = X beta + Z b + eps with independent random intercepts per
-grouping factor, b_q ~ N(0, sigma_q^2) and eps ~ N(0, sigma_eps^2 / w_i).
+grouping factor, b_q ~ N(0, sigma_q^2) and eps ~ N(0, sigma_eps^2).
 Estimation profiles beta and the residual variance out analytically and
 minimizes the deviance over theta, the per-factor standard deviations
 relative to the residual one. The inner solve is a Cholesky factorization
@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.optimize
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
-from .data import ModelSpec, DataError
 from .design import DesignMatrices
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -44,7 +43,6 @@ class FitOptions:
     tol: float = 1e-8
     max_evals_per_dim: int = 500
     multistart: tuple[float, ...] = (0.1, 1.0, 10.0)
-    weights: np.ndarray | None = None  # known per-observation weights, default 1
 
 
 @dataclass(frozen=True)
@@ -62,52 +60,9 @@ class VarianceComponents:
         if any(v < 0 for v in self.sigma2):
             raise FitError(f"negative variance component in {self.sigma2}")
 
-    def sd(self, name: str) -> float:
-        return math.sqrt(self.sigma2[self.names.index(name)])
-
     @property
     def sd_eps(self) -> float:
         return math.sqrt(self.sigma2_eps)
-
-    def as_dict(self) -> dict[str, float]:
-        out = {name: v for name, v in zip(self.names, self.sigma2)}
-        out["Residual"] = self.sigma2_eps
-        return out
-
-
-@dataclass(frozen=True, eq=False)
-class OLSFit:
-    """Ordinary least squares baseline (the i.i.d. model)."""
-
-    beta: np.ndarray
-    sigma2: float
-    loglik: float
-    vcov_beta: np.ndarray
-    rss: float
-    degenerate: bool
-
-
-def fit_ols(dm: DesignMatrices, y: np.ndarray) -> OLSFit:
-    """Least-squares fit of the fixed part only.
-
-    ``sigma2`` is the unbiased RSS/(n-p); ``loglik`` is the Gaussian
-    log-likelihood at the ML variance RSS/n. A response lying exactly in
-    the column span is flagged degenerate.
-    """
-    y = np.asarray(y, dtype=float)
-    n, p = dm.X.shape
-    if n <= p:
-        raise FitError(f"need more observations than fixed effects (n={n}, p={p})")
-    beta, _, _, _ = np.linalg.lstsq(dm.X, y, rcond=None)
-    resid = y - dm.X @ beta
-    rss = float(resid @ resid)
-    scale = float(y @ y)
-    degenerate = rss <= 1e-12 * max(scale, 1.0)
-    sigma2 = rss / (n - p)
-    loglik = -0.5 * n * (LOG_2PI + math.log(rss / n) + 1.0) if rss > 0 else math.inf
-    xtx_inv = np.linalg.inv(dm.X.T @ dm.X)
-    return OLSFit(beta=beta, sigma2=sigma2, loglik=loglik,
-                  vcov_beta=sigma2 * xtx_inv, rss=rss, degenerate=degenerate)
 
 
 def _cholesky(a: np.ndarray, clean: bool = True) -> np.ndarray:
@@ -155,18 +110,11 @@ def _solve_triangular(a: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
 class _Workspace:
     """Cross-products of (X, Z, y) reused across deviance evaluations."""
 
-    def __init__(self, dm: DesignMatrices, y: np.ndarray,
-                 weights: np.ndarray | None = None):
+    def __init__(self, dm: DesignMatrices, y: np.ndarray):
         y = np.asarray(y, dtype=float)
         if y.shape != (dm.n,):
             raise FitError(f"response has shape {y.shape}, expected ({dm.n},)")
         X, Z = dm.X, dm.Z
-        if weights is not None:
-            w = np.asarray(weights, dtype=float)
-            if w.shape != (dm.n,) or np.any(w <= 0):
-                raise FitError("weights must be positive and match the sample size")
-            sw = np.sqrt(w)
-            X, Z, y = X * sw[:, None], Z * sw[:, None], y * sw
         # canonical row order: float sums then do not depend on the input
         # row order, so permuting observations reproduces estimates exactly
         order = self._canonical_order(dm, X, y)
@@ -239,7 +187,7 @@ class _Workspace:
             resid = self.y - self.X @ beta - self.Z @ b
             pwrss = float(resid @ resid + u @ u)
         return dict(beta=beta, u=u, b=b, pwrss=pwrss, logdet_lz=logdet_lz,
-                    logdet_rx=logdet_rx, S=S, rx_factor=RX)
+                    logdet_rx=logdet_rx, rx_factor=RX)
 
     def deviance(self, theta: np.ndarray, reml: bool = True) -> float:
         """Profiled deviance (-2 log-likelihood) at theta."""
@@ -347,14 +295,13 @@ def aic(npar: int, loglik: float) -> float:
     return 2.0 * npar - 2.0 * loglik
 
 
-def reml_deviance(dm: DesignMatrices, y: np.ndarray, theta,
-                  weights: np.ndarray | None = None) -> float:
+def reml_deviance(dm: DesignMatrices, y: np.ndarray, theta) -> float:
     """Restricted deviance profiled over beta and the residual variance.
 
     theta holds one relative standard deviation per random factor, in
     ``dm.z_blocks`` order. Raises on a non-finite result.
     """
-    ws = _Workspace(dm, y, weights)
+    ws = _Workspace(dm, y)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     dev = ws.deviance(theta, reml=True)
     if not math.isfinite(dev):
@@ -519,7 +466,7 @@ def fit_lmm(dm: DesignMatrices, y: np.ndarray, criterion: str = "REML",
     if criterion not in ("REML", "ML"):
         raise FitError(f"unknown criterion {criterion!r}")
     y = np.asarray(y, dtype=float)
-    ws = _Workspace(dm, y, opts.weights)
+    ws = _Workspace(dm, y)
     if ws.n <= ws.p:
         raise FitError(f"need more observations than fixed effects "
                        f"(n={ws.n}, p={ws.p})")
@@ -577,11 +524,3 @@ def fit_lmm(dm: DesignMatrices, y: np.ndarray, criterion: str = "REML",
         converged=converged, deviance_profile_evals=evals,
         column_map=dm.column_map, _ws=ws)
 
-
-def drop_random_factor(spec: ModelSpec, factor: str) -> ModelSpec:
-    """Model declaration with one random factor removed."""
-    if factor not in spec.random_factors:
-        raise DataError(f"factor {factor!r} is not in random_factors "
-                        f"{spec.random_factors}")
-    remaining = tuple(f for f in spec.random_factors if f != factor)
-    return replace(spec, random_factors=remaining)

@@ -76,10 +76,6 @@ class TreeDesign:
         if self.rerun_mode not in ("deterministic", "noisy"):
             raise SimulationError(f"unknown rerun_mode {self.rerun_mode!r}")
 
-    def true_sds(self) -> dict[str, float]:
-        return {"seed": self.sigma_seed, "hparams": self.sigma_hparam,
-                "Residual": self.sigma_eps}
-
 
 def _width(count: int) -> int:
     return max(2, len(str(count - 1)))

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from expvar.cli import main
-from expvar.data import Dataset, ExperimentRecord, write_csv
+from expvar.cli import AnalysisConfig, main
+from expvar.data import Dataset, ExperimentRecord, ModelSpec, write_csv
+from expvar.lmm import FitOptions
 from expvar.simulate import TreeDesign, generate
 
 
@@ -239,6 +240,37 @@ def test_bad_config_key_exits_2(tmp_path, capsys):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"not_a_setting": 1}))
     assert main(["fit", "--input", str(data), "--config", str(config_path)]) == 2
+
+
+_DESIGN = {"combos": [["m", "adam", 0.5]], "n_seeds": 2, "n_configs": 2,
+           "n_reruns": 1, "sigma_seed": 0.01, "sigma_hparam": 0.02,
+           "sigma_eps": 0.01}
+
+
+@pytest.mark.parametrize("case", ["columns_without_equals", "space_not_object",
+                                  "design_sd_not_a_number"])
+def test_malformed_input_exits_2_with_error_line(tmp_path, capsys, case):
+    data, _ = _write_dataset(tmp_path)
+    if case == "columns_without_equals":
+        argv = ["fit", "--input", str(data), "--columns", "seed"]
+    elif case == "space_not_object":
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps([{"kind": "uniform", "low": 0, "high": 1}]))
+        argv = ["sample-hparams", "--space", str(space), "--n", "2"]
+    else:
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps(dict(_DESIGN, sigma_seed="abc")))
+        argv = ["simulate", "--design", str(design), "--output-dir",
+                str(tmp_path / "sim")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_config_defaults_come_from_library_defaults():
+    config = AnalysisConfig(command="fit")
+    assert config.model_spec() == ModelSpec()
+    assert config.fit_options() == FitOptions()
 
 
 def test_stdout_tables_printed(tmp_path, capsys):

@@ -36,7 +36,8 @@ def test_load_csv_shuffled_rows_same_levels(tmp_path):
     rng.shuffle(rows)
     shuffled = load_csv(_write(tmp_path, "\n".join([header] + rows) + "\n", "s.csv"))
     original = load_csv(_write(tmp_path, CSV_4ROWS))
-    assert shuffled.factor_levels == original.factor_levels
+    for name in original.factor_names:
+        assert shuffled.levels(name) == original.levels(name)
     assert shuffled.n == original.n
     assert sorted(r.metric for r in shuffled.records) == \
         sorted(r.metric for r in original.records)
@@ -167,5 +168,6 @@ def test_permutation_invariance_of_levels():
     ds1 = Dataset(records=tuple(records))
     rng.shuffle(records)
     ds2 = Dataset(records=tuple(records))
-    assert ds1.factor_levels == ds2.factor_levels
+    for name in ds1.factor_names:
+        assert ds1.levels(name) == ds2.levels(name)
     assert ds1.n == ds2.n

@@ -5,7 +5,6 @@ from expvar.data import Dataset, ExperimentRecord, ModelSpec
 from expvar.design import (DesignError, _check_full_rank, build_design,
                            contrast_rows, difference_rows,
                            drop_random_factor_design, omnibus_rows)
-from expvar.lmm import fit_ols
 
 from conftest import crossed_dataset, one_way_dataset, ONE_WAY_SPEC
 
@@ -125,7 +124,7 @@ def test_contrast_rows_unknown_level():
 @pytest.mark.parametrize("coding", ["treatment", "sum_to_zero"])
 def test_contrast_rows_vs_grand_matches_group_means(coding):
     # balanced six-level layout with distinct group means: L beta-hat from the
-    # OLS fit must reproduce the direct group-mean deviations
+    # least-squares fit must reproduce the direct group-mean deviations
     rng = np.random.default_rng(31)
     records = []
     means = {}
@@ -143,14 +142,14 @@ def test_contrast_rows_vs_grand_matches_group_means(coding):
     ds = cross_factor(ds, "model", "optimizer")
     dm = build_design(ds, ModelSpec(contrast_coding=coding))
     y = ds.response()
-    fit = fit_ols(dm, y)
+    beta, _, _, _ = np.linalg.lstsq(dm.X, y, rcond=None)
     L = contrast_rows(dm, dm.fixed_levels, kind="vs_grand")
     assert L.shape == (6, dm.p)
 
     codes = ds.level_codes("model:optimizer")
     group_means = np.array([y[codes == j].mean() for j in range(6)])
     direct = group_means - group_means.mean()
-    assert np.allclose(L @ fit.beta, direct, atol=1e-10)
+    assert np.allclose(L @ beta, direct, atol=1e-10)
     if coding == "sum_to_zero":
         # effect rows: identity on the effect columns, last row all -1
         assert np.allclose(L[:-1, 1:], np.eye(5))
@@ -177,3 +176,90 @@ def test_omnibus_single_level_error():
     dm = build_design(ds, ONE_WAY_SPEC)
     with pytest.raises(DesignError, match="no testable fixed term"):
         omnibus_rows(dm)
+
+
+# ---------------------------------------------------------------------------
+# X and the contrast rows come from one level-row matrix; the per-row
+# loop encodings below are the reference they must match bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _loop_fixed_matrix(codes, levels, coding, intercept):
+    n = codes.shape[0]
+    k = len(levels)
+    if not intercept:
+        X = np.zeros((n, k))
+        X[np.arange(n), codes] = 1.0
+        return X, tuple(levels)
+    if k == 1:
+        return np.ones((n, 1)), ("(Intercept)",)
+    if coding == "treatment":
+        X = np.zeros((n, k))
+        X[:, 0] = 1.0
+        for j in range(1, k):
+            X[codes == j, j] = 1.0
+        return X, ("(Intercept)",) + tuple(levels[1:])
+    X = np.zeros((n, k))
+    X[:, 0] = 1.0
+    last = k - 1
+    for j in range(0, k - 1):
+        X[codes == j, j + 1] = 1.0
+    X[codes == last, 1:] = -1.0
+    return X, ("(Intercept)",) + tuple(levels[:-1])
+
+
+def _loop_level_row(dm, level):
+    j = dm.fixed_levels.index(level)
+    k = len(dm.fixed_levels)
+    row = np.zeros(dm.p)
+    if not dm.include_intercept:
+        row[j] = 1.0
+        return row
+    row[0] = 1.0
+    if k == 1:
+        return row
+    if dm.coding == "treatment":
+        if j > 0:
+            row[j] = 1.0
+    else:
+        if j < k - 1:
+            row[1 + j] = 1.0
+        else:
+            row[1:] = -1.0
+    return row
+
+
+def _loop_contrast_rows(dm, levels, kind):
+    all_rows = np.vstack([_loop_level_row(dm, lv) for lv in dm.fixed_levels])
+    base = all_rows[0] if kind == "vs_reference" else all_rows.mean(axis=0)
+    return np.vstack([_loop_level_row(dm, lv) - base for lv in levels])
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+@pytest.mark.parametrize("intercept", [True, False])
+@pytest.mark.parametrize("coding", ["treatment", "sum_to_zero"])
+def test_level_rows_bit_identical_to_loop_encoding(coding, intercept, k):
+    rng = np.random.default_rng(k)
+    records = [ExperimentRecord(model=f"m{j}", optimizer="o", seed="s", hparams="h",
+                                rerun=f"r{i}", metric=float(i))
+               for i, j in enumerate(rng.permutation(np.repeat(np.arange(k), 3)))]
+    ds = Dataset(records=tuple(records))
+    dm = build_design(ds, ModelSpec(fixed_factor="model", random_factors=(),
+                                    contrast_coding=coding,
+                                    include_intercept=intercept))
+    X, names = _loop_fixed_matrix(ds.level_codes("model"), dm.fixed_levels,
+                                  coding, intercept)
+    assert _same_bits(dm.X, X)
+    assert dm.column_map == names
+    levels = list(dm.fixed_levels[::-1])
+    for kind in ("vs_reference", "vs_grand"):
+        assert _same_bits(contrast_rows(dm, levels, kind=kind),
+                          _loop_contrast_rows(dm, levels, kind))
+    pairs = [(a, b) for a in dm.fixed_levels for b in dm.fixed_levels]
+    assert _same_bits(
+        difference_rows(dm, pairs),
+        np.vstack([_loop_level_row(dm, a) - _loop_level_row(dm, b) for a, b in pairs]))

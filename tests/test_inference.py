@@ -9,7 +9,7 @@ from expvar.data import ModelSpec
 from expvar.design import build_design, contrast_rows, difference_rows, omnibus_rows
 from expvar.inference import (InferenceError, anova_fixed, contrasts, ranova,
                               satterthwaite_df)
-from expvar.lmm import fit_lmm
+from expvar.lmm import FittedLMM, fit_lmm
 from expvar.tails import chisq_sf, t_quantile, t_sf
 
 from conftest import (ONE_WAY_SPEC, WelchFit, crossed_dataset, one_way_dataset,
@@ -170,6 +170,37 @@ def test_flat_information_raises_boundary_error():
 
     with pytest.raises(InferenceError, match="boundary"):
         satterthwaite_df(FlatFit(), np.array([1.0]))
+
+
+def test_satterthwaite_matrix_shares_one_stencil(monkeypatch):
+    ds = crossed_dataset(generator_seed=12)
+    dm = build_design(ds, ModelSpec())
+    fit = fit_lmm(dm, ds.response())
+    L = contrast_rows(dm, dm.fixed_levels, kind="vs_grand")
+    per_row = [satterthwaite_df(fit, c) for c in L]
+    points = []
+    vcov_at = FittedLMM.vcov_beta_at_omega
+
+    def counted(self, omega):
+        points.append(np.asarray(omega).tobytes())
+        return vcov_at(self, omega)
+
+    monkeypatch.setattr(FittedLMM, "vcov_beta_at_omega", counted)
+    dfs = satterthwaite_df(fit, L)
+    assert dfs.tolist() == per_row
+    # one covariance evaluation per distinct stencil point, not per row
+    assert len(points) == len(set(points)) <= 1 + 2 * fit.omega_hat.size
+    # anova and contrasts hand all their rows to one call
+    calls = []
+
+    def counted_df(fit, c):
+        calls.append(np.shape(c))
+        return satterthwaite_df(fit, c)
+
+    monkeypatch.setattr(inference, "satterthwaite_df", counted_df)
+    anova_fixed(fit, omnibus_rows(dm))
+    contrasts(fit, L)
+    assert calls == [(dm.p - 1, dm.p), L.shape]
 
 
 def test_df_capped_at_residual_dof():

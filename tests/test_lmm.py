@@ -1,21 +1,22 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import expvar
 from expvar.data import Dataset, ExperimentRecord, ModelSpec
 from expvar.design import build_design
-from expvar.lmm import (DegenerateDataError, FitError, FitOptions, _Workspace,
-                        _cholesky, aic, drop_random_factor, fit_lmm, fit_ols,
-                        reml_deviance)
+from expvar.lmm import (DegenerateDataError, FitError, _Workspace, _cholesky,
+                        aic, fit_lmm, reml_deviance)
 
 from conftest import (ONE_WAY_SPEC, crossed_dataset, dense_reml_deviance,
                       one_way_dataset, ols_restricted_deviance)
 
 
 class _BareDesign:
-    """Minimal design stand-in for direct matrix-level OLS tests."""
+    """Minimal design stand-in with no random factors: fit_lmm is then OLS."""
 
     def __init__(self, X):
         self.X = np.asarray(X, dtype=float)
@@ -29,31 +30,26 @@ class _BareDesign:
 
 
 # ---------------------------------------------------------------------------
-# OLS baseline
+# No random factors: ordinary least squares
 # ---------------------------------------------------------------------------
 
 
+def test_public_names_resolve():
+    for name in expvar.__all__:
+        assert hasattr(expvar, name), name
+
+
 def test_ols_mean():
-    dm = _BareDesign(np.ones((3, 1)))
-    fit = fit_ols(dm, np.array([1.0, 2.0, 3.0]))
+    fit = fit_lmm(_BareDesign(np.ones((3, 1))), np.array([1.0, 2.0, 3.0]))
     assert fit.beta[0] == pytest.approx(2.0)
-    assert fit.rss == pytest.approx(2.0)
-    assert fit.sigma2 == pytest.approx(1.0)
-
-
-def test_ols_exact_fit_degenerate():
-    X = np.column_stack([np.ones(4), np.arange(4.0)])
-    y = X @ np.array([0.3, -0.2])
-    fit = fit_ols(_BareDesign(X), y)
-    assert fit.degenerate
-    assert fit.sigma2 == pytest.approx(0.0, abs=1e-14)
+    assert fit.vc.sigma2_eps == pytest.approx(1.0)  # REML: RSS / (n - p)
 
 
 def test_ols_matches_normal_equations():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(20, 3))
     y = rng.normal(size=20)
-    fit = fit_ols(_BareDesign(X), y)
+    fit = fit_lmm(_BareDesign(X), y)
     beta_oracle = np.linalg.solve(X.T @ X, X.T @ y)
     assert np.allclose(fit.beta, beta_oracle, atol=1e-10)
     # residual orthogonality to the columns of X
@@ -62,8 +58,10 @@ def test_ols_matches_normal_equations():
 
 
 def test_ols_insufficient_data():
-    with pytest.raises(FitError):
-        fit_ols(_BareDesign(np.ones((2, 3))), np.array([1.0, 2.0]))
+    # n <= p leaves no residual degrees of freedom
+    for X in (np.ones((2, 3)), np.eye(3)):
+        with pytest.raises(FitError, match="more observations than fixed effects"):
+            fit_lmm(_BareDesign(X), np.arange(X.shape[0], dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +166,12 @@ def test_fit_without_random_factors_equals_ols():
     spec = ModelSpec(random_factors=())
     dm = build_design(ds, spec)
     y = ds.response()
-    ols = fit_ols(dm, y)
+    beta, _, _, _ = np.linalg.lstsq(dm.X, y, rcond=None)
+    rss = float(np.sum((y - dm.X @ beta) ** 2))
+    loglik = -0.5 * dm.n * (math.log(2.0 * math.pi * rss / dm.n) + 1.0)
     fit = fit_lmm(dm, y, criterion="ML")
-    assert np.allclose(fit.beta, ols.beta, atol=1e-8)
-    assert fit.loglik == pytest.approx(ols.loglik, abs=1e-8)
+    assert np.allclose(fit.beta, beta, atol=1e-8)
+    assert fit.loglik == pytest.approx(loglik, abs=1e-8)
     assert fit.npar == dm.p + 1
 
 
@@ -244,28 +244,6 @@ def test_fitted_aic_property(fixture_a):
     assert fit.npar == dm.p + 1 + 1
 
 
-def test_drop_random_factor_spec():
-    spec = ModelSpec()
-    dropped = drop_random_factor(spec, "seed")
-    assert dropped.random_factors == ("hparams",)
-    only = drop_random_factor(dropped, "hparams")
-    assert only.random_factors == ()
-    with pytest.raises(Exception):
-        drop_random_factor(spec, "nope")
-    # drop then re-add restores the original
-    import dataclasses
-    readded = dataclasses.replace(dropped, random_factors=("seed", "hparams"))
-    assert readded == spec
-
-
-def test_weights_interface_default_identity(fixture_a):
-    dm, y = fixture_a
-    base = fit_lmm(dm, y)
-    weighted = fit_lmm(dm, y, opts=FitOptions(weights=np.ones(dm.n)))
-    assert np.allclose(base.beta, weighted.beta, atol=1e-10)
-    assert base.loglik == pytest.approx(weighted.loglik, abs=1e-8)
-
-
 # ---------------------------------------------------------------------------
 # LAPACK-direct PLS solve against the scipy.linalg wrappers, bit for bit
 # ---------------------------------------------------------------------------
@@ -316,7 +294,7 @@ class _ScipyWorkspace(_Workspace):
             resid = self.y - self.X @ beta - self.Z @ b
             pwrss = float(resid @ resid + u @ u)
         return dict(beta=beta, u=u, b=b, pwrss=pwrss, logdet_lz=logdet_lz,
-                    logdet_rx=logdet_rx, S=S, rx_factor=(RX, low))
+                    logdet_rx=logdet_rx, rx_factor=(RX, low))
 
     def vcov_beta(self, theta, sigma2):
         s = self.solve(theta)
@@ -338,18 +316,16 @@ def _solve_cases():
     paper = build_design(paper_ds, ModelSpec())
     zero = build_design(paper_ds, ModelSpec(random_factors=()))
     y_paper = paper_ds.response()
-    w = np.random.default_rng(9).uniform(0.5, 2.0, paper.n)
-    return {"one_factor": (one, one_ds.response(), None),
-            "paper": (paper, y_paper, None),
-            "zero_factor": (zero, y_paper, None),
-            "weighted": (paper, y_paper, w)}
+    return {"one_factor": (one, one_ds.response()),
+            "paper": (paper, y_paper),
+            "zero_factor": (zero, y_paper)}
 
 
-@pytest.mark.parametrize("case", ["one_factor", "paper", "zero_factor", "weighted"])
+@pytest.mark.parametrize("case", ["one_factor", "paper", "zero_factor"])
 def test_lapack_solve_bit_identical_to_scipy_wrappers(case):
-    dm, y, w = _solve_cases()[case]
-    ws = _Workspace(dm, y, w)
-    oracle = _ScipyWorkspace(dm, y, w)
+    dm, y = _solve_cases()[case]
+    ws = _Workspace(dm, y)
+    oracle = _ScipyWorkspace(dm, y)
     for theta in itertools.product(_THETA_AXIS, repeat=ws.n_factors):
         theta = np.array(theta)
         got, want = ws.solve(theta), oracle.solve(theta)
