@@ -7,7 +7,7 @@ ANOVA, means comparisons), and simulates synthetic experiment trees for
 estimator validation.
 """
 
-from .data import (Dataset, ExperimentRecord, ModelSpec, DataError, SchemaError,
+from .data import (Dataset, ModelSpec, DataError, SchemaError,
                    RowError, EmptyDataError, cross_factor, ensure_factor,
                    load_csv, write_csv)
 from .design import (DesignError, DesignMatrices, build_design, contrast_rows,
@@ -24,7 +24,7 @@ from .tails import chisq_sf, f_sf, t_quantile, t_sf
 __version__ = "0.1.0"
 
 __all__ = [
-    "Dataset", "ExperimentRecord", "ModelSpec", "DataError", "SchemaError",
+    "Dataset", "ModelSpec", "DataError", "SchemaError",
     "RowError", "EmptyDataError", "cross_factor", "ensure_factor", "load_csv",
     "write_csv",
     "DesignError", "DesignMatrices", "build_design", "contrast_rows",

@@ -1,9 +1,11 @@
 """Experiment result tables: ingestion, validation, categorical encoding.
 
 An experiment result is one leaf of the combo -> seed -> hyper-parameter
-config -> rerun tree: five categorical labels plus one metric value.
-Labels (including seeds) are opaque identifiers, never numbers to compute
-with. Datasets are immutable after construction and safe to share across
+config -> rerun tree: five categorical labels plus one metric value. A
+Dataset holds such results as columns: per factor its sorted levels and
+one integer code per row, plus one float array of metric values. Labels
+(including seeds) are opaque identifiers, never numbers to compute with.
+Datasets are immutable after construction and safe to share across
 threads.
 """
 
@@ -11,8 +13,9 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -46,95 +49,120 @@ class EmptyDataError(DataError):
     """The input contains no data rows."""
 
 
-@dataclass(frozen=True)
-class ExperimentRecord:
-    """One observed experiment leaf: five labels and a metric value."""
-
-    model: str
-    optimizer: str
-    seed: str
-    hparams: str
-    rerun: str
-    metric: float
-
-    def __post_init__(self):
-        for name in FACTOR_COLUMNS:
-            value = getattr(self, name)
-            if not isinstance(value, str) or value == "":
-                raise DataError(f"label {name!r} must be a non-empty string, got {value!r}")
-        if not isinstance(self.metric, (int, float)) or not math.isfinite(self.metric):
-            raise DataError(f"metric must be finite, got {self.metric!r}")
-        object.__setattr__(self, "metric", float(self.metric))
+def encode_labels(name: str, values: Sequence) -> tuple[tuple[str, ...], np.ndarray]:
+    """Sorted distinct labels of one factor and each value's index into them."""
+    distinct = dict.fromkeys(values)
+    for label in distinct:
+        if not isinstance(label, str) or label == "":
+            raise DataError(f"label {name!r} must be a non-empty string, got {label!r}")
+    levels = tuple(sorted(distinct))
+    index = {level: i for i, level in enumerate(levels)}
+    codes = np.fromiter(map(index.__getitem__, values), dtype=np.intp,
+                        count=len(values))
+    return levels, codes
 
 
-@dataclass(frozen=True)
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """A read-only array holding ``array``'s values (copied if writable)."""
+    if array.flags.writeable:
+        array = array.copy()
+        array.setflags(write=False)
+    return array
+
+
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Validated, analysis-ready collection of experiment records.
+    """Validated, analysis-ready experiment results, stored as columns.
 
-    Factor levels are the lexicographically sorted distinct labels, so the
-    encoding (and the reference level of treatment contrasts) does not
-    depend on input row order. Derived factors added by :func:`cross_factor`
-    live alongside the five base factors.
+    ``factors`` maps each factor name to its levels, the lexicographically
+    sorted distinct labels, and one ``intp`` code per row indexing into
+    them, so the encoding (and the reference level of treatment contrasts)
+    does not depend on input row order. The five base factors come first;
+    derived factors added by :func:`cross_factor` follow. ``y`` is the
+    read-only float64 response. Datasets compare by identity; compare
+    their columns to compare contents. Build one from per-row labels with
+    :meth:`from_labels`; the direct constructor checks that every factor's
+    levels are sorted, distinct, non-empty strings and its codes index
+    into them.
     """
 
-    records: tuple[ExperimentRecord, ...]
+    factors: Mapping[str, tuple[tuple[str, ...], np.ndarray]]
+    y: np.ndarray
     response_name: str = DEFAULT_RESPONSE
-    derived: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
-        if len(self.records) == 0:
+        y = _frozen(np.asarray(self.y, dtype=float))
+        if y.size == 0:
             raise EmptyDataError("dataset must contain at least one record")
-        for name, values in self.derived.items():
-            if len(values) != len(self.records):
-                raise DataError(f"derived factor {name!r} has {len(values)} values for "
-                                f"{len(self.records)} records")
+        bad = np.flatnonzero(~np.isfinite(y))
+        if bad.size:
+            i = int(bad[0])
+            raise RowError(i + 1, f"metric must be finite, got {float(y[i])!r}")
+        if tuple(self.factors)[:len(FACTOR_COLUMNS)] != FACTOR_COLUMNS:
+            raise DataError(f"dataset needs the factors {FACTOR_COLUMNS} first, "
+                            f"got {tuple(self.factors)}")
+        factors = {}
+        for name, (levels, codes) in self.factors.items():
+            levels = tuple(levels)
+            if not all(isinstance(level, str) and level for level in levels):
+                raise DataError(f"factor {name!r} levels must be non-empty strings")
+            if not all(a < b for a, b in zip(levels, levels[1:])):
+                raise DataError(f"factor {name!r} levels must be sorted and distinct")
+            codes = np.asarray(codes)
+            if codes.shape != y.shape:
+                raise DataError(f"factor {name!r} has {codes.size} codes for "
+                                f"{y.size} records")
+            if codes.dtype.kind not in "iu" or codes.min() < 0 or codes.max() >= len(levels):
+                raise DataError(f"factor {name!r} codes must be integers in "
+                                f"0..{len(levels) - 1}")
+            factors[name] = (levels, _frozen(codes.astype(np.intp, copy=False)))
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "factors", MappingProxyType(factors))
+
+    @classmethod
+    def from_labels(cls, labels: Mapping[str, Sequence[str]], response: Sequence[float],
+                    response_name: str = DEFAULT_RESPONSE) -> "Dataset":
+        """Dataset from one label sequence per base factor and the response."""
+        if set(labels) != set(FACTOR_COLUMNS):
+            raise DataError(f"need labels for exactly {FACTOR_COLUMNS}, got {sorted(labels)}")
+        return cls(factors={name: encode_labels(name, list(labels[name]))
+                            for name in FACTOR_COLUMNS},
+                   y=np.array(response, dtype=float), response_name=response_name)
 
     @property
     def n(self) -> int:
-        return len(self.records)
+        return self.y.size
 
     @property
     def factor_names(self) -> tuple[str, ...]:
-        return FACTOR_COLUMNS + tuple(self.derived)
+        return tuple(self.factors)
 
-    def factor_values(self, name: str) -> tuple[str, ...]:
-        """Per-record labels of a base or derived factor."""
-        if name in FACTOR_COLUMNS:
-            return tuple(getattr(r, name) for r in self.records)
-        if name in self.derived:
-            return tuple(self.derived[name])
-        raise DataError(f"unknown factor {name!r}; have {sorted(self.factor_names)}")
+    def _factor(self, name: str) -> tuple[tuple[str, ...], np.ndarray]:
+        try:
+            return self.factors[name]
+        except KeyError:
+            raise DataError(f"unknown factor {name!r}; "
+                            f"have {sorted(self.factor_names)}") from None
 
     def levels(self, name: str) -> tuple[str, ...]:
-        return tuple(sorted(set(self.factor_values(name))))
+        return self._factor(name)[0]
 
     def level_codes(self, name: str) -> np.ndarray:
         """Integer codes of a factor, indices into ``levels(name)``."""
-        levels = self.levels(name)
-        index = {level: i for i, level in enumerate(levels)}
-        return np.array([index[v] for v in self.factor_values(name)], dtype=np.intp)
+        return self._factor(name)[1]
 
     def response(self) -> np.ndarray:
-        return np.array([r.metric for r in self.records], dtype=float)
-
-    def with_factor(self, name: str, values: Sequence[str]) -> "Dataset":
-        """New dataset with an added derived factor; self is unchanged."""
-        if name in self.factor_names:
-            raise DataError(f"factor {name!r} already exists")
-        derived = dict(self.derived)
-        derived[name] = tuple(values)
-        return replace(self, derived=derived)
+        """The read-only response array itself, not a copy."""
+        return self.y
 
     def take(self, indices: Sequence[int]) -> "Dataset":
-        """Row-reordered dataset; derived factors stay aligned with records."""
-        idx = list(indices)
-        if sorted(idx) != list(range(self.n)):
+        """Row-reordered dataset: every column gathered by ``indices``."""
+        idx = np.asarray(indices, dtype=np.intp)
+        if idx.shape != (self.n,) or not np.array_equal(np.sort(idx), np.arange(self.n)):
             raise DataError("indices must be a permutation of all record positions")
-        return replace(
-            self,
-            records=tuple(self.records[i] for i in idx),
-            derived={name: tuple(values[i] for i in idx)
-                     for name, values in self.derived.items()})
+        return replace(self, y=self.y[idx],
+                       factors={name: (levels, codes[idx])
+                                for name, (levels, codes) in self.factors.items()})
 
 
 @dataclass(frozen=True)
@@ -183,40 +211,59 @@ def load_csv(path, spec: ModelSpec | None = None,
         colmap.update(columns)
 
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise EmptyDataError(f"empty file: {path}")
-        header = set(reader.fieldnames)
-        required = list(colmap.values()) + [spec.response]
-        for col in required:
+        for col in list(colmap.values()) + [spec.response]:
             if col not in header:
                 raise SchemaError(f"missing column {col!r} in {path} "
-                                  f"(found {sorted(header)})")
-        records = []
-        for i, row in enumerate(reader, start=1):
-            raw = row.get(spec.response)
-            if raw is None or raw.strip() == "":
-                raise RowError(i, f"missing {spec.response!r} value")
-            try:
-                metric = float(raw)
-            except ValueError:
-                raise RowError(i, f"non-numeric {spec.response!r} value {raw!r}") from None
-            if not math.isfinite(metric):
-                raise RowError(i, f"non-finite {spec.response!r} value {raw!r}")
-            try:
-                records.append(ExperimentRecord(
-                    model=row[colmap["model"]],
-                    optimizer=row[colmap["optimizer"]],
-                    seed=row[colmap["seed"]],
-                    hparams=row[colmap["hparams"]],
-                    rerun=row[colmap["rerun"]],
-                    metric=metric,
-                ))
-            except DataError as exc:
-                raise RowError(i, str(exc)) from None
-    if not records:
+                                  f"(found {sorted(set(header))})")
+        rows = [row for row in reader if row]  # blank lines are skipped, not counted
+    if not rows:
         raise EmptyDataError(f"no data rows in {path}")
-    return Dataset(records=tuple(records), response_name=spec.response)
+
+    # a repeated header name reads its last column; a short row reads None
+    position = {name: j for j, name in enumerate(header)}
+
+    def column(name: str) -> list:
+        j = position[name]
+        return [row[j] if len(row) > j else None for row in rows]
+
+    raw = column(spec.response)
+    labels = {role: column(colmap[role]) for role in FACTOR_COLUMNS}
+    # the first bad row wins; within a row the metric is checked first
+    problems = []
+    try:
+        y = np.array(list(map(float, raw)))
+    except (TypeError, ValueError):
+        y = None
+    if y is None or not np.isfinite(y).all():
+        problems.append(next((i, 0, message) for i, message in
+                             enumerate(_metric_problem(v, spec.response) for v in raw)
+                             if message))
+    factors = {}
+    for order, (role, values) in enumerate(labels.items(), start=1):
+        try:
+            factors[role] = encode_labels(role, values)
+        except DataError as exc:  # names the column's first empty or missing label
+            bad = next(i for i, v in enumerate(values) if v is None or v == "")
+            problems.append((bad, order, str(exc)))
+    if problems:
+        i, _, message = min(problems)
+        raise RowError(i + 1, message)
+    return Dataset(factors=factors, y=y, response_name=spec.response)
+
+
+def _metric_problem(raw: str | None, response: str) -> str | None:
+    """Why a metric cell does not parse to a finite float, or None if it does."""
+    if raw is None or raw.strip() == "":
+        return f"missing {response!r} value"
+    try:
+        value = float(raw)
+    except ValueError:
+        return f"non-numeric {response!r} value {raw!r}"
+    return None if math.isfinite(value) else f"non-finite {response!r} value {raw!r}"
 
 
 def write_csv(dataset: Dataset, path, columns: Mapping[str, str] | None = None) -> None:
@@ -224,24 +271,46 @@ def write_csv(dataset: Dataset, path, columns: Mapping[str, str] | None = None) 
     colmap = {name: name for name in FACTOR_COLUMNS}
     if columns:
         colmap.update(columns)
+    labels = []
+    for name in FACTOR_COLUMNS:
+        levels, codes = dataset.factors[name]
+        labels.append(np.array(levels, dtype=object)[codes].tolist())
+    metrics = map(repr, dataset.y.tolist())
     path = Path(path)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([colmap[name] for name in FACTOR_COLUMNS] + [dataset.response_name])
-        for r in dataset.records:
-            writer.writerow([r.model, r.optimizer, r.seed, r.hparams, r.rerun,
-                             repr(r.metric)])
+        writer.writerows(zip(*labels, metrics))
 
 
 def cross_factor(dataset: Dataset, a: str, b: str) -> Dataset:
     """Add the derived interaction factor "a:b" of observed (a, b) pairs.
 
-    Levels are exactly the pairs that occur in the data; combinations never
-    observed together contribute no level.
+    Levels are exactly the joined "x:y" labels of the pairs that occur in
+    the data, sorted as strings; combinations never observed together
+    contribute no level. Two pairs that join to the same label are refused.
     """
-    va = dataset.factor_values(a)
-    vb = dataset.factor_values(b)
-    return dataset.with_factor(f"{a}:{b}", tuple(f"{x}:{y}" for x, y in zip(va, vb)))
+    name = f"{a}:{b}"
+    if name in dataset.factor_names:
+        raise DataError(f"factor {name!r} already exists")
+    levels_a, codes_a = dataset._factor(a)
+    levels_b, codes_b = dataset._factor(b)
+    width = len(levels_b)
+    pairs, codes = np.unique(codes_a * width + codes_b, return_inverse=True)
+    joined: dict[str, tuple[str, str]] = {}
+    for p in pairs.tolist():
+        pair = (levels_a[p // width], levels_b[p % width])
+        label = f"{pair[0]}:{pair[1]}"
+        if label in joined:
+            raise DataError(f"pairs {joined[label]} and {pair} of {a!r} and {b!r} "
+                            f"both give the level {label!r}")
+        joined[label] = pair
+    labels = list(joined)
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    return replace(dataset, factors={**dataset.factors,
+                                     name: (tuple(labels[k] for k in order), rank[codes])})
 
 
 def ensure_factor(dataset: Dataset, name: str) -> Dataset:

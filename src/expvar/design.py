@@ -118,10 +118,9 @@ def build_design(dataset: Dataset, spec: ModelSpec) -> DesignMatrices:
     X = rows[codes]
     _check_full_rank(X, column_map)
 
-    n = dataset.n
     blocks: dict[str, slice] = {}
     z_levels: dict[str, tuple[str, ...]] = {}
-    z_parts = []
+    z_codes = []
     start = 0
     for factor in spec.random_factors:
         if factor not in dataset.factor_names:
@@ -131,14 +130,14 @@ def build_design(dataset: Dataset, spec: ModelSpec) -> DesignMatrices:
         if len(f_levels) < 2:
             raise DesignError(f"random factor {factor!r} has a single level "
                               f"{f_levels[0]!r}; its variance is unidentifiable")
-        f_codes = dataset.level_codes(factor)
-        block = np.zeros((n, len(f_levels)))
-        block[np.arange(n), f_codes] = 1.0
-        z_parts.append(block)
+        z_codes.append(start + dataset.level_codes(factor))
         blocks[factor] = slice(start, start + len(f_levels))
         z_levels[factor] = f_levels
         start += len(f_levels)
-    Z = np.hstack(z_parts) if z_parts else np.zeros((n, 0))
+    n = dataset.n
+    Z = np.zeros((n, start))
+    for columns in z_codes:
+        Z[np.arange(n), columns] = 1.0
 
     X.setflags(write=False)
     Z.setflags(write=False)

@@ -472,6 +472,13 @@ def fit_lmm(dm: DesignMatrices, y: np.ndarray, criterion: str = "REML",
                        f"(n={ws.n}, p={ws.p})")
     if np.ptp(y) == 0.0:
         raise DegenerateDataError("response is constant; no variance to decompose")
+    # scale-free test, as matrix_rank's default tolerance: a response in the
+    # column span of X leaves no residual whose variance could be split
+    beta_ls = np.linalg.lstsq(ws.X, ws.y, rcond=None)[0]
+    if np.linalg.norm(ws.y - ws.X @ beta_ls) <= \
+            max(ws.n, ws.p) * np.finfo(float).eps * np.linalg.norm(ws.y):
+        raise DegenerateDataError("response lies exactly in the span of the fixed "
+                                  "effects; no residual variation to decompose")
 
     reml = criterion == "REML"
     n_factors = ws.n_factors

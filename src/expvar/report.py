@@ -21,6 +21,7 @@ from .inference import AnovaRow, ContrastRow, RanovaResult
 from .lmm import FittedLMM
 
 CSV_SIGNIFICANT_DIGITS = 6
+BOXPLOT_QUANTILES = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 @dataclass(frozen=True)
@@ -41,29 +42,17 @@ class Table:
         if self.row_labels is not None and len(self.row_labels) != len(self.rows):
             raise ValueError("row_labels length does not match rows")
 
-    def _csv_cell(self, value) -> str:
-        if value is None:
-            return ""
-        if isinstance(value, bool):
-            return str(value).lower()
-        if isinstance(value, (int, np.integer)):
-            return str(int(value))
-        if isinstance(value, (float, np.floating)):
-            return f"{float(value):.{CSV_SIGNIFICANT_DIGITS}g}"
-        return str(value)
+    def _grid(self) -> list[list[str]]:
+        """Header and rendered cells, one list per column (row labels first)."""
+        grid = [[name, *map(_cell, (row[j] for row in self.rows))]
+                for j, name in enumerate(self.columns)]
+        if self.row_labels is not None:
+            grid.insert(0, [self.label_header, *self.row_labels])
+        return grid
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        header = list(self.columns)
-        if self.row_labels is not None:
-            header = [self.label_header] + header
-        writer.writerow(header)
-        for i, row in enumerate(self.rows):
-            cells = [self._csv_cell(v) for v in row]
-            if self.row_labels is not None:
-                cells = [self.row_labels[i]] + cells
-            writer.writerow(cells)
+        csv.writer(buf, lineterminator="\n").writerows(zip(*self._grid()))
         return buf.getvalue()
 
     def _json_value(self, value):
@@ -92,21 +81,24 @@ class Table:
 
     def to_text(self) -> str:
         """Fixed-width rendering for terminal output."""
-        header = list(self.columns)
-        if self.row_labels is not None:
-            header = [self.label_header] + header
-        body = []
-        for i, row in enumerate(self.rows):
-            cells = [self._csv_cell(v) for v in row]
-            if self.row_labels is not None:
-                cells = [self.row_labels[i]] + cells
-            body.append(cells)
-        widths = [max(len(h), *(len(r[j]) for r in body)) if body else len(h)
-                  for j, h in enumerate(header)]
-        lines = ["  ".join(h.rjust(w) for h, w in zip(header, widths))]
-        for cells in body:
-            lines.append("  ".join(c.rjust(w) for c, w in zip(cells, widths)))
-        return "\n".join(lines) + "\n"
+        padded = []
+        for column in self._grid():
+            width = max(map(len, column))
+            padded.append([cell.rjust(width) for cell in column])
+        return "\n".join(map("  ".join, zip(*padded))) + "\n"
+
+
+def _cell(value) -> str:
+    """CSV/text rendering of one value; floats keep 6 significant digits."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return f"{float(value):.{CSV_SIGNIFICANT_DIGITS}g}"
+    return str(value)
 
 
 def variance_table(fit: FittedLMM) -> Table:
@@ -185,15 +177,26 @@ def boxplot_table(dataset: Dataset) -> Table:
     Quantiles use linear interpolation (the type-7 rule). Output rows are
     sorted by group key, so the table is deterministic.
     """
-    groups: dict[tuple[str, str, str, str], list[float]] = {}
-    for r in dataset.records:
-        groups.setdefault((r.model, r.optimizer, r.hparams, r.seed), []).append(r.metric)
-    rows = []
-    for key in sorted(groups):
-        values = np.asarray(groups[key], dtype=float)
-        q = np.quantile(values, [0.0, 0.25, 0.5, 0.75, 1.0], method="linear")
-        rows.append(key + tuple(float(v) for v in q) + (int(values.size),))
+    keys = ("model", "optimizer", "hparams", "seed")
+    # level codes are ranks of the sorted labels, so sorting the codes
+    # sorts the label tuples
+    order = np.lexsort([dataset.level_codes(k) for k in reversed(keys)])
+    codes = [dataset.level_codes(k)[order] for k in keys]
+    new_group = np.zeros(dataset.n, dtype=bool)
+    new_group[0] = True
+    for c in codes:
+        new_group[1:] |= c[1:] != c[:-1]
+    starts = np.flatnonzero(new_group)
+    sizes = np.diff(starts, append=dataset.n)
+    y = dataset.response()[order]
+    stats = np.empty((starts.size, len(BOXPLOT_QUANTILES)))
+    for size in np.unique(sizes).tolist():
+        groups = np.flatnonzero(sizes == size)
+        block = y[starts[groups, None] + np.arange(size)]
+        stats[groups] = np.quantile(block, BOXPLOT_QUANTILES, axis=1, method="linear").T
+    labels = [np.array(dataset.levels(k), dtype=object)[c[starts]].tolist()
+              for k, c in zip(keys, codes)]
     return Table(name="boxplot_data",
                  columns=("model", "optimizer", "hparams", "seed",
                           "min", "q1", "median", "q3", "max", "n"),
-                 rows=tuple(rows))
+                 rows=tuple(zip(*labels, *stats.T.tolist(), sizes.tolist())))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, ExperimentRecord
+from .data import Dataset, encode_labels
 
 
 class SimulationError(ValueError):
@@ -86,47 +86,50 @@ def generate(design: TreeDesign) -> Dataset:
 
     Seed effects are drawn once per seed label and config effects once per
     config label (or per seed-config pair when nested), then every leaf
-    adds residual noise according to the rerun mode.
+    adds residual noise according to the rerun mode. Rows run over combos,
+    then seeds, then configs, then reruns.
     """
     root = design.generator_seed
-    sw, cw, rw = _width(design.n_seeds), _width(design.n_configs), _width(design.n_reruns)
-    seed_labels = [f"seed{j:0{sw}d}" for j in range(design.n_seeds)]
-    rerun_labels = [f"r{t:0{rw}d}" for t in range(design.n_reruns)]
-    seed_effects = {s: _normal(root, design.sigma_seed, "seed", s)
-                    for s in seed_labels}
+    n_combos, n_seeds = len(design.combos), design.n_seeds
+    n_configs, n_reruns = design.n_configs, design.n_reruns
+    sw, cw, rw = _width(n_seeds), _width(n_configs), _width(n_reruns)
+    seed_labels = [f"seed{j:0{sw}d}" for j in range(n_seeds)]
+    rerun_labels = [f"r{t:0{rw}d}" for t in range(n_reruns)]
+    if design.nested_configs:
+        config_labels = [f"{s}-hp{k:0{cw}d}" for s in seed_labels for k in range(n_configs)]
+    else:
+        config_labels = [f"hp{k:0{cw}d}" for k in range(n_configs)] * n_seeds
+    seed_effects = [_normal(root, design.sigma_seed, "seed", s) for s in seed_labels]
+    config_effects = {label: _normal(root, design.sigma_hparam, "config", label)
+                      for label in dict.fromkeys(config_labels)}
 
-    def config_label(seed_label: str, k: int) -> str:
-        if design.nested_configs:
-            return f"{seed_label}-hp{k:0{cw}d}"
-        return f"hp{k:0{cw}d}"
-
-    config_effects: dict[str, float] = {}
-    for s in seed_labels:
-        for k in range(design.n_configs):
-            label = config_label(s, k)
-            if label not in config_effects:
-                config_effects[label] = _normal(root, design.sigma_hparam,
-                                                "config", label)
-
-    records = []
+    noisy = design.rerun_mode == "noisy"
+    y = []
     for model, optimizer, mu in design.combos:
         combo = f"{model}:{optimizer}"
-        for s in seed_labels:
-            for k in range(design.n_configs):
-                cfg = config_label(s, k)
-                base = mu + seed_effects[s] + config_effects[cfg]
-                shared_noise = _normal(root, design.sigma_eps,
-                                       "eps", combo, s, cfg)
-                for r in rerun_labels:
-                    if design.rerun_mode == "noisy":
-                        noise = _normal(root, design.sigma_eps,
-                                        "eps", combo, s, cfg, r)
-                    else:
-                        noise = shared_noise
-                    records.append(ExperimentRecord(
-                        model=model, optimizer=optimizer, seed=s,
-                        hparams=cfg, rerun=r, metric=base + noise))
-    return Dataset(records=tuple(records))
+        for j, s in enumerate(seed_labels):
+            for cfg in config_labels[j * n_configs:(j + 1) * n_configs]:
+                base = mu + seed_effects[j] + config_effects[cfg]
+                if noisy:
+                    y.extend(base + _normal(root, design.sigma_eps, "eps", combo, s, cfg, r)
+                             for r in rerun_labels)
+                else:
+                    y.extend([base + _normal(root, design.sigma_eps,
+                                             "eps", combo, s, cfg)] * n_reruns)
+
+    def column(name, labels, repeat, tile):
+        levels, codes = encode_labels(name, labels)
+        return levels, np.tile(np.repeat(codes, repeat), tile)
+
+    per_combo = n_seeds * n_configs * n_reruns
+    factors = {
+        "model": column("model", [c[0] for c in design.combos], per_combo, 1),
+        "optimizer": column("optimizer", [c[1] for c in design.combos], per_combo, 1),
+        "seed": column("seed", seed_labels, n_configs * n_reruns, n_combos),
+        "hparams": column("hparams", config_labels, n_reruns, n_combos),
+        "rerun": column("rerun", rerun_labels, 1, n_combos * n_seeds * n_configs),
+    }
+    return Dataset(factors=factors, y=np.array(y))
 
 
 @dataclass(frozen=True)

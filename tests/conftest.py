@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from expvar.data import Dataset, ExperimentRecord, ModelSpec, ensure_factor
+from expvar.data import FACTOR_COLUMNS, Dataset, ModelSpec, ensure_factor
 from expvar.design import DesignMatrices, build_design
 from expvar.simulate import TreeDesign, generate
 
@@ -89,14 +89,16 @@ def one_way_dataset(n_groups: int = 6, per_group: int = 5, group_sd: float = 0.5
     rng = np.random.default_rng(seed)
     if group_effects is None:
         group_effects = rng.normal(0.0, group_sd, n_groups)
-    records = []
-    for j in range(n_groups):
-        for i in range(per_group):
-            records.append(ExperimentRecord(
-                model="m", optimizer="o", seed=f"g{j:02d}", hparams="h",
-                rerun=f"r{j:02d}_{i:02d}",
-                metric=float(0.5 + group_effects[j] + rng.normal(0.0, noise_sd))))
-    return Dataset(records=tuple(records))
+    rows = [("m", "o", f"g{j:02d}", "h", f"r{j:02d}_{i:02d}",
+             float(0.5 + group_effects[j] + rng.normal(0.0, noise_sd)))
+            for j in range(n_groups) for i in range(per_group)]
+    return dataset_from_rows(rows)
+
+
+def dataset_from_rows(rows) -> Dataset:
+    """Dataset from (model, optimizer, seed, hparams, rerun, metric) tuples."""
+    columns = list(zip(*rows))
+    return Dataset.from_labels(dict(zip(FACTOR_COLUMNS, columns[:5])), columns[5])
 
 
 ONE_WAY_SPEC = ModelSpec(fixed_factor="model", random_factors=("seed",))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from expvar.cli import AnalysisConfig, main
-from expvar.data import Dataset, ExperimentRecord, ModelSpec, write_csv
+from expvar.data import Dataset, ModelSpec, write_csv
 from expvar.lmm import FitOptions
 from expvar.simulate import TreeDesign, generate
 
@@ -103,7 +103,7 @@ def test_contrasts_row_count_and_layout(tmp_path):
     assert code == 0
     rows = _read_csv(out / "means_comparisons.csv")
     assert rows[0] == ["", "Estimate", "Std. Error", "lower", "upper", "Pr(>|t|)"]
-    observed_combos = {(r.model, r.optimizer) for r in ds.records}
+    observed_combos = set(zip(ds.level_codes("model"), ds.level_codes("optimizer")))
     assert len(rows) - 1 == len(observed_combos)
     code = main(["contrasts", "--input", str(data), "--output-dir", str(out),
                  "--levels", "m-net:adam"])
@@ -153,8 +153,8 @@ def test_sample_hparams(tmp_path):
 
 
 def test_boxplot_single_record(tmp_path):
-    ds = Dataset(records=(ExperimentRecord(model="m", optimizer="o", seed="s",
-                                           hparams="h", rerun="r", metric=0.42),))
+    ds = Dataset.from_labels({"model": ["m"], "optimizer": ["o"], "seed": ["s"],
+                              "hparams": ["h"], "rerun": ["r"]}, [0.42])
     path = tmp_path / "one.csv"
     write_csv(ds, path)
     out = tmp_path / "box"
@@ -169,12 +169,12 @@ def test_boxplot_single_record(tmp_path):
 def test_boxplot_quantiles_match_sort_oracle(tmp_path):
     rng = np.random.default_rng(8)
     values = rng.uniform(0.0, 1.0, 1000)
-    records = tuple(ExperimentRecord(model="m", optimizer="o", seed="s",
-                                     hparams="h", rerun=f"r{i:04d}",
-                                     metric=float(v))
-                    for i, v in enumerate(values))
+    n = len(values)
+    ds = Dataset.from_labels({"model": ["m"] * n, "optimizer": ["o"] * n,
+                              "seed": ["s"] * n, "hparams": ["h"] * n,
+                              "rerun": [f"r{i:04d}" for i in range(n)]}, values)
     path = tmp_path / "many.csv"
-    write_csv(Dataset(records=records), path)
+    write_csv(ds, path)
     out = tmp_path / "box"
     assert main(["boxplot-data", "--input", str(path),
                  "--output-dir", str(out)]) == 0
@@ -202,7 +202,8 @@ def test_boxplot_group_count(tmp_path):
     assert main(["boxplot-data", "--input", str(data),
                  "--output-dir", str(out)]) == 0
     obj = json.loads((out / "boxplot_data.json").read_text())
-    distinct = {(r.model, r.optimizer, r.hparams, r.seed) for r in ds.records}
+    distinct = set(zip(*(ds.level_codes(k) for k in ("model", "optimizer",
+                                                      "hparams", "seed"))))
     assert len(obj["rows"]) == len(distinct)
 
 

@@ -1,23 +1,19 @@
 import numpy as np
 import pytest
 
-from expvar.data import Dataset, ExperimentRecord, ModelSpec
+from expvar.data import ModelSpec
 from expvar.design import (DesignError, _check_full_rank, build_design,
                            contrast_rows, difference_rows,
                            drop_random_factor_design, omnibus_rows)
 
-from conftest import crossed_dataset, one_way_dataset, ONE_WAY_SPEC
+from conftest import crossed_dataset, dataset_from_rows, one_way_dataset, ONE_WAY_SPEC
 
 
 def _six_level_dataset(per_level=2):
-    records = []
-    for m in ("a", "b", "c"):
-        for o in ("adam", "sgd"):
-            for i in range(per_level):
-                records.append(ExperimentRecord(
-                    model=m, optimizer=o, seed=f"s{i}", hparams=f"h{i}",
-                    rerun=f"{m}{o}{i}", metric=0.1 * len(records)))
-    return Dataset(records=tuple(records))
+    keys = [(m, o, i) for m in ("a", "b", "c") for o in ("adam", "sgd")
+            for i in range(per_level)]
+    return dataset_from_rows((m, o, f"s{i}", f"h{i}", f"{m}{o}{i}", 0.1 * k)
+                             for k, (m, o, i) in enumerate(keys))
 
 
 def test_treatment_coding_shape():
@@ -126,18 +122,16 @@ def test_contrast_rows_vs_grand_matches_group_means(coding):
     # balanced six-level layout with distinct group means: L beta-hat from the
     # least-squares fit must reproduce the direct group-mean deviations
     rng = np.random.default_rng(31)
-    records = []
+    rows = []
     means = {}
     for m in ("a", "b", "c"):
         for o in ("adam", "sgd"):
             mu = float(rng.uniform(0.3, 0.9))
             means[f"{m}:{o}"] = mu
             for i in range(4):
-                records.append(ExperimentRecord(
-                    model=m, optimizer=o, seed=f"s{i}", hparams=f"h{i}",
-                    rerun=f"{m}{o}{i}",
-                    metric=mu + float(rng.normal(0, 0.01))))
-    ds = Dataset(records=tuple(records))
+                rows.append((m, o, f"s{i}", f"h{i}", f"{m}{o}{i}",
+                             mu + float(rng.normal(0, 0.01))))
+    ds = dataset_from_rows(rows)
     from expvar.data import cross_factor
     ds = cross_factor(ds, "model", "optimizer")
     dm = build_design(ds, ModelSpec(contrast_coding=coding))
@@ -244,10 +238,8 @@ def _loop_contrast_rows(dm, levels, kind):
 @pytest.mark.parametrize("coding", ["treatment", "sum_to_zero"])
 def test_level_rows_bit_identical_to_loop_encoding(coding, intercept, k):
     rng = np.random.default_rng(k)
-    records = [ExperimentRecord(model=f"m{j}", optimizer="o", seed="s", hparams="h",
-                                rerun=f"r{i}", metric=float(i))
-               for i, j in enumerate(rng.permutation(np.repeat(np.arange(k), 3)))]
-    ds = Dataset(records=tuple(records))
+    ds = dataset_from_rows((f"m{j}", "o", "s", "h", f"r{i}", float(i))
+                           for i, j in enumerate(rng.permutation(np.repeat(np.arange(k), 3))))
     dm = build_design(ds, ModelSpec(fixed_factor="model", random_factors=(),
                                     contrast_coding=coding,
                                     include_intercept=intercept))

@@ -6,13 +6,13 @@ import pytest
 import scipy.linalg
 
 import expvar
-from expvar.data import Dataset, ExperimentRecord, ModelSpec
+from expvar.data import ModelSpec
 from expvar.design import build_design
 from expvar.lmm import (DegenerateDataError, FitError, _Workspace, _cholesky,
                         aic, fit_lmm, reml_deviance)
 
-from conftest import (ONE_WAY_SPEC, crossed_dataset, dense_reml_deviance,
-                      one_way_dataset, ols_restricted_deviance)
+from conftest import (ONE_WAY_SPEC, crossed_dataset, dataset_from_rows,
+                      dense_reml_deviance, one_way_dataset, ols_restricted_deviance)
 
 
 class _BareDesign:
@@ -127,13 +127,8 @@ def test_balanced_one_way_matches_anova_moments():
 def test_no_group_effect_hits_boundary():
     # identical mean structure across groups: repeat one noise pattern
     pattern = [0.48, 0.52, 0.5, 0.47, 0.53]
-    records = []
-    for j in range(4):
-        for i, v in enumerate(pattern):
-            records.append(ExperimentRecord(model="m", optimizer="o",
-                                            seed=f"g{j}", hparams="h",
-                                            rerun=f"{j}_{i}", metric=v))
-    ds = Dataset(records=tuple(records))
+    ds = dataset_from_rows(("m", "o", f"g{j}", "h", f"{j}_{i}", v)
+                           for j in range(4) for i, v in enumerate(pattern))
     dm = build_design(ds, ONE_WAY_SPEC)
     fit = fit_lmm(dm, ds.response())
     assert fit.vc.sigma2[0] == 0.0
@@ -159,6 +154,26 @@ def test_constant_response_rejected(fixture_a):
     dm, _ = fixture_a
     with pytest.raises(DegenerateDataError):
         fit_lmm(dm, np.full(dm.n, 0.5))
+
+
+def test_exact_fit_rejected_with_and_without_random_factors():
+    # a response lying exactly in the column span of X has no residual
+    t = np.arange(4.0)
+    X = np.column_stack([np.ones(4), t])
+    with pytest.raises(DegenerateDataError, match="span of the fixed effects"):
+        fit_lmm(_BareDesign(X), X @ np.array([0.3, -0.2]))
+    # scale-free: a tiny response on a large offset still counts
+    with pytest.raises(DegenerateDataError, match="span of the fixed effects"):
+        fit_lmm(_BareDesign(X), X @ np.array([1e6, 1e-3]))
+    ds = dataset_from_rows((m, "o", s, "h", f"{m}{s}", mu)
+                           for m, mu in (("a", 0.3), ("b", 0.5))
+                           for s in ("s1", "s2", "s3"))
+    dm = build_design(ds, ModelSpec(fixed_factor="model", random_factors=("seed",)))
+    with pytest.raises(DegenerateDataError, match="span of the fixed effects"):
+        fit_lmm(dm, ds.response())
+    # the constant-response check keeps its message and comes first
+    with pytest.raises(DegenerateDataError, match="constant"):
+        fit_lmm(_BareDesign(X), np.full(4, 0.5))
 
 
 def test_fit_without_random_factors_equals_ols():

@@ -1,0 +1,89 @@
+"""Report tables against per-group and per-cell oracles kept here."""
+
+import csv
+import io
+import json
+
+import numpy as np
+
+from expvar.report import Table, boxplot_table
+
+from conftest import dataset_from_rows
+
+QUANTILES = [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
+def test_boxplot_matches_per_group_quantiles_bytewise():
+    # groups of every size 1..7, rows shuffled so groups interleave
+    rng = np.random.default_rng(5)
+    rows = []
+    for g in range(28):
+        size = g % 7 + 1
+        for i in range(size):
+            rows.append((f"m{g % 2}", f"o{g % 3}", f"s{g}", f"h{g % 4}", f"r{i}",
+                         float(rng.normal(0.5, 0.1))))
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    table = boxplot_table(dataset_from_rows(rows))
+
+    groups = {}
+    for m, o, s, h, _, metric in rows:
+        groups.setdefault((m, o, h, s), []).append(metric)
+    expected = []
+    for key in sorted(groups):
+        q = np.quantile(np.asarray(groups[key]), QUANTILES, method="linear")
+        expected.append(key + tuple(float(v) for v in q) + (len(groups[key]),))
+    assert sorted({row[-1] for row in table.rows}) == list(range(1, 8))
+    assert [row[:4] + (row[-1],) for row in table.rows] == \
+        [row[:4] + (row[-1],) for row in expected]
+    got = np.array([row[4:9] for row in table.rows])
+    want = np.array([row[4:9] for row in expected])
+    assert got.tobytes() == want.tobytes()
+
+
+def _cell_oracle(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return f"{float(value):.6g}"
+    return str(value)
+
+
+def _rows_oracle(table):
+    header = list(table.columns)
+    if table.row_labels is not None:
+        header = [table.label_header] + header
+    body = []
+    for i, row in enumerate(table.rows):
+        cells = [_cell_oracle(v) for v in row]
+        if table.row_labels is not None:
+            cells = [table.row_labels[i]] + cells
+        body.append(cells)
+    return header, body
+
+
+def test_table_renderings_match_per_cell_oracle():
+    rows = ((1.0 / 3.0, None, True, np.int64(7), "a,b", float("nan")),
+            (np.float64(2.5e-9), 3, False, 12345678, "x", float("inf")),
+            (1e21, 0.1, None, -1, "", -0.0))
+    for labels in (None, ("first", "second row", "3")):
+        table = Table(name="t", columns=("f", "mixed", "flag", "int", "s", "special"),
+                      rows=rows, label_header="lab", row_labels=labels)
+        header, body = _rows_oracle(table)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(body)
+        assert table.to_csv() == buf.getvalue()
+        widths = [max(len(h), *(len(r[j]) for r in body)) for j, h in enumerate(header)]
+        lines = ["  ".join(c.rjust(w) for c, w in zip(cells, widths))
+                 for cells in [header] + body]
+        assert table.to_text() == "\n".join(lines) + "\n"
+        obj = json.loads(table.to_json())
+        assert len(obj["rows"]) == 3 and obj["rows"][0]["special"] is None
+    empty = Table(name="e", columns=("a", "b"), rows=())
+    assert empty.to_csv() == "a,b\n"
+    assert empty.to_text() == "a  b\n"

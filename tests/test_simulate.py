@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from expvar.data import ensure_factor
 from expvar.simulate import (HyperparamDistribution, SimulationError, TreeDesign,
                              generate, sample_hyperparams)
 
@@ -17,19 +18,38 @@ def _design(**kwargs):
     return TreeDesign(**base)
 
 
+def _columns(ds):
+    """Every column of a dataset as plain values, for comparison by value."""
+    return ({name: (levels, codes.tolist())
+             for name, (levels, codes) in ds.factors.items()},
+            ds.response().tobytes())
+
+
+def _leaf_values(ds, *factors):
+    """Distinct metric values per combination of the given factors."""
+    keys = zip(*(ds.level_codes(name).tolist() for name in factors))
+    leaves = {}
+    for key, value in zip(keys, ds.response().tolist()):
+        leaves.setdefault(key, set()).add(value)
+    return leaves
+
+
 def test_zero_sds_reproduce_means_exactly():
     ds = generate(_design(sigma_seed=0.0, sigma_hparam=0.0, sigma_eps=0.0))
     means = {f"{m}:{o}": mu for m, o, mu in COMBOS}
-    for record in ds.records:
-        assert record.metric == means[f"{record.model}:{record.optimizer}"]
+    combo = ensure_factor(ds, "model:optimizer")
+    levels = combo.levels("model:optimizer")
+    expected = [means[levels[c]] for c in combo.level_codes("model:optimizer")]
+    assert ds.response().tolist() == expected
 
 
 def test_generate_deterministic():
     a = generate(_design(generator_seed=77))
     b = generate(_design(generator_seed=77))
-    assert a == b
+    assert _columns(a) == _columns(b)
     c = generate(_design(generator_seed=78))
-    assert c != a
+    assert _columns(c)[0] == _columns(a)[0]
+    assert _columns(c)[1] != _columns(a)[1]
 
 
 def test_tree_shape_and_labels():
@@ -44,15 +64,11 @@ def test_tree_shape_and_labels():
 
 def test_deterministic_reruns_identical_noisy_not():
     det = generate(_design(rerun_mode="deterministic", generator_seed=5))
-    leaves = {}
-    for r in det.records:
-        leaves.setdefault((r.model, r.seed, r.hparams), set()).add(r.metric)
+    leaves = _leaf_values(det, "model", "seed", "hparams")
     assert all(len(v) == 1 for v in leaves.values())
 
     noisy = generate(_design(rerun_mode="noisy", generator_seed=5))
-    spread = {}
-    for r in noisy.records:
-        spread.setdefault((r.model, r.seed, r.hparams), set()).add(r.metric)
+    spread = _leaf_values(noisy, "model", "seed", "hparams")
     assert any(len(v) > 1 for v in spread.values())
 
 
