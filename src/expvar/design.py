@@ -11,13 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .data import Dataset, ModelSpec, DataError
-
-#: Relative tolerance of the pivoted rank check, scaled by the largest
-#: R diagonal.
-RANK_TOL = 1e-10
 
 
 class DesignError(ValueError):
@@ -85,38 +80,28 @@ def _level_rows(levels: tuple[str, ...], coding: str,
     return R, ("(Intercept)",) + tuple(levels[:-1])
 
 
-def _check_full_rank(X: np.ndarray, labels: tuple[str, ...]) -> None:
-    """Pivoted QR rank check; names the offending column on failure."""
-    # cheap screen first: an all-zero column has an obvious culprit
-    zero = np.flatnonzero(~np.any(X != 0.0, axis=0))
-    if zero.size:
-        raise DesignError(f"fixed-effect column {labels[zero[0]]!r} has no observations")
-    r = scipy.linalg.qr(X, mode="r", pivoting=True)
-    diag = np.abs(np.diag(r[0]))
-    tol = RANK_TOL * diag.max()
-    rank = int(np.sum(diag > tol))
-    if rank < X.shape[1]:
-        bad = [labels[j] for j in r[1][rank:]]
-        raise DesignError(f"fixed-effect design is rank deficient; "
-                          f"dependent column(s): {bad}")
-
-
 def build_design(dataset: Dataset, spec: ModelSpec) -> DesignMatrices:
     """Build X and Z for a dataset under a model declaration.
 
     Requires every random factor to have at least two observed levels
-    (a single level makes its variance unidentifiable) and X to be full
-    column rank.
+    (a single level makes its variance unidentifiable) and every fixed
+    level to be observed. X is the level codes indexing an invertible
+    k x k matrix of coefficient rows under every coding, so it has full
+    column rank exactly when every level occurs.
     """
     if spec.fixed_factor not in dataset.factor_names:
         raise DataError(f"unknown fixed factor {spec.fixed_factor!r}; "
                         f"have {sorted(dataset.factor_names)}")
     levels = dataset.levels(spec.fixed_factor)
     codes = dataset.level_codes(spec.fixed_factor)
+    unobserved = np.flatnonzero(np.bincount(codes, minlength=len(levels)) == 0)
+    if unobserved.size:
+        raise DesignError(f"level {levels[unobserved[0]]!r} of fixed factor "
+                          f"{spec.fixed_factor!r} has no observations; the "
+                          f"fixed-effect design is rank deficient")
     rows, column_map = _level_rows(levels, spec.contrast_coding,
                                    spec.include_intercept)
     X = rows[codes]
-    _check_full_rank(X, column_map)
 
     blocks: dict[str, slice] = {}
     z_levels: dict[str, tuple[str, ...]] = {}

@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import ModelSpec
 from .design import DesignMatrices, drop_random_factor_design
-from .lmm import FitOptions, FittedLMM, _cho_solve, _cholesky, fit_lmm
+from .lmm import FitOptions, FittedLMM, _inverse_gram, fit_lmm
 from .tails import chisq_sf, f_sf, t_sf, t_quantile
 
 log = logging.getLogger(__name__)
@@ -214,14 +214,14 @@ def _omega_covariance(fit) -> np.ndarray:
     steps = _fd_hessian_steps(omega)
     H = _fd_hessian(fit.deviance_at_omega, omega, steps)
     try:
-        cho = _cholesky(H, clean=False)
+        cho = np.linalg.cholesky(H)
     except np.linalg.LinAlgError:
         raise InferenceError(
             "variance-parameter information matrix is not positive definite; "
             "this usually means a variance estimate sits at the boundary "
             "(some sigma^2 = 0), where the Satterthwaite correction is "
             "undefined") from None
-    return 2.0 * _cho_solve(cho, np.eye(omega.size))
+    return 2.0 * _inverse_gram(cho)
 
 
 def satterthwaite_df(fit, c: np.ndarray) -> float | np.ndarray:

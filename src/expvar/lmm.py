@@ -4,11 +4,13 @@ The model is y = X beta + Z b + eps with independent random intercepts per
 grouping factor, b_q ~ N(0, sigma_q^2) and eps ~ N(0, sigma_eps^2).
 Estimation profiles beta and the residual variance out analytically and
 minimizes the deviance over theta, the per-factor standard deviations
-relative to the residual one. The inner solve is a Cholesky factorization
-of the penalized least-squares system, so the marginal covariance is never
-formed explicitly; the dense-covariance formula is kept as a test oracle
-only. The solve calls LAPACK directly: at paper size the factorizations
-take microseconds, and scipy.linalg's argument handling would cost more.
+relative to the residual one. Each evaluation is one Cholesky
+factorization of the bordered cross-product matrix [Z X y]'[Z X y],
+scaled by theta on the Z block (the penalized least-squares form of
+Bates et al. 2015, JSS 67(1)): the factor's diagonal gives both log
+determinants and its last pivot the penalized residual sum of squares,
+so the marginal covariance is never formed; the dense-covariance formula
+is kept as a test oracle only.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .design import DesignMatrices
 
@@ -38,7 +38,12 @@ class DegenerateDataError(FitError):
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Tuning knobs of the outer deviance minimization."""
+    """Tuning knobs of the outer deviance minimization.
+
+    ``tol`` is the deviance slack within which the boundary snap and the
+    final polish are accepted; ``ranova`` takes LRT dips below it for
+    float noise.
+    """
 
     tol: float = 1e-8
     max_evals_per_dim: int = 500
@@ -65,50 +70,9 @@ class VarianceComponents:
         return math.sqrt(self.sigma2_eps)
 
 
-def _cholesky(a: np.ndarray, clean: bool = True) -> np.ndarray:
-    """Lower Cholesky factor of a symmetric positive-definite matrix.
-
-    Reads the lower triangle of ``a`` only. With ``clean=False`` the upper
-    triangle of the result keeps the input's entries, as in
-    ``scipy.linalg.cho_factor``. Raises ``np.linalg.LinAlgError`` when
-    ``a`` is not positive definite.
-    """
-    c, info = dpotrf(a, lower=True, clean=clean)
-    if info > 0:
-        raise np.linalg.LinAlgError(
-            f"{info}-th leading minor of the array is not positive definite")
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dpotrf")
-    return c
-
-
-def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``A x = b`` given the lower Cholesky factor ``c`` of A."""
-    x, info = dpotrs(c, b, lower=True)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of dpotrs")
-    return x
-
-
-def _solve_triangular(a: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
-    """Solve ``a x = b`` for triangular ``a``.
-
-    dtrtrs expects Fortran order, so a C-ordered ``a`` is passed as its
-    transpose with the system transposed, as ``scipy.linalg`` does.
-    """
-    if a.flags.f_contiguous:
-        x, info = dtrtrs(a, b, lower=lower)
-    else:
-        x, info = dtrtrs(a.T, b, lower=not lower, trans=1)
-    if info > 0:
-        raise np.linalg.LinAlgError(f"singular matrix: zero diagonal at {info - 1}")
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dtrtrs")
-    return x
-
-
 class _Workspace:
-    """Cross-products of (X, Z, y) reused across deviance evaluations."""
+    """The bordered cross-product matrix of (Z, X, y), reused across
+    deviance evaluations."""
 
     def __init__(self, dm: DesignMatrices, y: np.ndarray):
         y = np.asarray(y, dtype=float)
@@ -120,21 +84,33 @@ class _Workspace:
         order = self._canonical_order(dm, X, y)
         X, Z, y = X[order], Z[order], y[order]
         self.n, self.p = X.shape
-        self.q = Z.shape[1]
+        self.q = q = Z.shape[1]
         self.X, self.Z, self.y = X, Z, y
-        self.XtX = X.T @ X
-        self.Xty = X.T @ y
-        self.ZtZ = Z.T @ Z
-        self.ZtX = Z.T @ X
-        self.Zty = Z.T @ y
+        # the border holds the least-squares residual r = y - X beta0 in
+        # place of y: the deviance is the same, and the corner's Schur
+        # complement, the PWRSS, then cancels against r'r instead of y'y
+        self.beta0 = np.linalg.lstsq(X, y, rcond=None)[0]
+        self.r = r = y - X @ self.beta0
+        # M = [Z X r]'[Z X r], filled block by block so that no n-row
+        # copy of the stacked columns is made
+        M = np.empty((q + self.p + 1,) * 2)
+        ZtX = Z.T @ X
+        M[:q, :q] = Z.T @ Z
+        M[:q, q:-1] = ZtX
+        M[q:-1, :q] = ZtX.T
+        M[q:-1, q:-1] = X.T @ X
+        M[:q, -1] = M[-1, :q] = Z.T @ r
+        M[q:-1, -1] = M[-1, q:-1] = X.T @ r
+        M[-1, -1] = r @ r
+        self.M = M
         self.yty = float(y @ y)
         # column j of Z belongs to random factor col_factor[j]
         self.factors = tuple(dm.z_blocks)
-        self.col_factor = np.zeros(self.q, dtype=np.intp)
+        self.col_factor = np.zeros(q, dtype=np.intp)
         for i, f in enumerate(self.factors):
             self.col_factor[dm.z_blocks[f]] = i
         self.n_factors = len(self.factors)
-        self._diag = np.diag_indices(self.q)
+        self._zdiag = np.diag_indices(q)
 
     @staticmethod
     def _canonical_order(dm: DesignMatrices, X: np.ndarray,
@@ -145,80 +121,104 @@ class _Workspace:
             keys.append(dm.Z[:, dm.z_blocks[factor]].argmax(axis=1))
         return np.lexsort(tuple(keys))
 
-    def solve(self, theta: np.ndarray) -> dict:
-        """Penalized least-squares solve at fixed theta.
+    def _factor(self, theta: np.ndarray):
+        """Lower Cholesky factor of the scaled bordered matrix at theta.
 
-        Returns the profiled pieces: spherical modes u, BLUPs b = lambda*u,
-        beta-hat, the penalized residual sum of squares, and the two log
-        determinants of the profiled deviance.
+        Returns the factor, the relative sds per Z column and the amount
+        added to the corner. The corner's Schur complement is the PWRSS;
+        when cancellation makes it non-positive the corner is padded so
+        the last pivot stays real, and the pad is subtracted again.
         """
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.n_factors,):
             raise FitError(f"theta has shape {theta.shape}, expected ({self.n_factors},)")
         if (theta < 0).any():
             raise FitError(f"theta must be non-negative, got {theta}")
-        lam = theta[self.col_factor] if self.q else np.zeros(0)
-        if self.q:
-            A = (lam[:, None] * self.ZtZ) * lam[None, :]
-            A[self._diag] += 1.0
-            L = _cholesky(A)
-            rzx = _solve_triangular(L, lam[:, None] * self.ZtX, lower=True)
-            cu = _solve_triangular(L, lam * self.Zty, lower=True)
-            S = self.XtX - rzx.T @ rzx
-            logdet_lz = 2.0 * float(np.log(L.diagonal()).sum())
-        else:
-            rzx = np.zeros((0, self.p))
-            cu = np.zeros(0)
-            S = self.XtX
-            logdet_lz = 0.0
-        RX = _cholesky(S, clean=False)
-        logdet_rx = 2.0 * float(np.log(RX.diagonal()).sum())
-        beta = _cho_solve(RX, self.Xty - rzx.T @ cu)
-        if self.q:
-            u = _solve_triangular(L.T, cu - rzx @ beta, lower=False)
-            b = lam * u
-        else:
-            u = np.zeros(0)
-            b = u
-        # minimum of the penalized quadratic, via the cross products; fall
-        # back to explicit residuals when cancellation eats the value
-        pwrss = float(self.yty - (lam * self.Zty) @ u - self.Xty @ beta)
+        lam = theta[self.col_factor]
+        scale = np.ones(len(self.M))
+        scale[:self.q] = lam
+        A = self.M * scale[:, None] * scale
+        A[self._zdiag] += 1.0
+        try:
+            return np.linalg.cholesky(A), lam, 0.0
+        except np.linalg.LinAlgError:
+            pad = max(self.yty, 1.0)
+            A[-1, -1] += pad
+            return np.linalg.cholesky(A), lam, pad
+
+    def _modes(self, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Spherical modes u and beta-hat - beta0, by back-substitution."""
+        k = self.q + self.p
+        x = np.linalg.solve(L[:k, :k].T, L[k, :k])
+        return x[:self.q], x[self.q:]
+
+    def _profiled(self, theta: np.ndarray):
+        """Factor, both log determinants and the PWRSS at theta."""
+        L, lam, pad = self._factor(theta)
+        q = self.q
+        diag = L.diagonal()
+        log_diag = np.log(diag[:-1])
+        logdet_lz = 2.0 * float(log_diag[:q].sum())
+        logdet_rx = 2.0 * float(log_diag[q:].sum())
+        pwrss = float(diag[-1]) ** 2 - pad
         if pwrss < 1e-8 * max(self.yty, 1.0):
-            resid = self.y - self.X @ beta - self.Z @ b
+            # cancellation eats the value: use explicit residuals
+            u, shift = self._modes(L)
+            resid = self.r - self.X @ shift - self.Z @ (lam * u)
             pwrss = float(resid @ resid + u @ u)
-        return dict(beta=beta, u=u, b=b, pwrss=pwrss, logdet_lz=logdet_lz,
-                    logdet_rx=logdet_rx, rx_factor=RX)
+        return L, lam, logdet_lz, logdet_rx, pwrss
+
+    def solve(self, theta: np.ndarray) -> dict:
+        """Penalized least-squares solve at fixed theta.
+
+        Returns the profiled pieces: spherical modes u, BLUPs b = lambda*u,
+        beta-hat, the penalized residual sum of squares, the two log
+        determinants of the profiled deviance and the fixed-effect block
+        of the factor.
+        """
+        L, lam, logdet_lz, logdet_rx, pwrss = self._profiled(theta)
+        u, shift = self._modes(L)
+        q = self.q
+        return dict(beta=self.beta0 + shift, u=u, b=lam * u, pwrss=pwrss,
+                    logdet_lz=logdet_lz, logdet_rx=logdet_rx, rx_factor=L[q:-1, q:-1])
 
     def deviance(self, theta: np.ndarray, reml: bool = True) -> float:
         """Profiled deviance (-2 log-likelihood) at theta."""
-        s = self.solve(theta)
-        return self._deviance_from(s, reml)
+        return self._deviance_from(*self._profiled(theta)[2:], reml)
 
-    def _deviance_from(self, s: dict, reml: bool) -> float:
+    def _deviance_from(self, logdet_lz: float, logdet_rx: float, pwrss: float,
+                       reml: bool) -> float:
         n, p = self.n, self.p
-        if s["pwrss"] <= 0:
+        if pwrss <= 0:
             raise FitError("zero penalized residual sum of squares; "
                            "response is degenerate")
         if reml:
-            return s["logdet_lz"] + s["logdet_rx"] + \
-                (n - p) * (1.0 + LOG_2PI + math.log(s["pwrss"] / (n - p)))
-        return s["logdet_lz"] + n * (1.0 + LOG_2PI + math.log(s["pwrss"] / n))
+            return logdet_lz + logdet_rx + \
+                (n - p) * (1.0 + LOG_2PI + math.log(pwrss / (n - p)))
+        return logdet_lz + n * (1.0 + LOG_2PI + math.log(pwrss / n))
 
     def deviance_at(self, theta: np.ndarray, sigma2: float, reml: bool = True) -> float:
         """Deviance at explicit (theta, residual variance), not profiled."""
         if sigma2 <= 0:
             raise FitError(f"residual variance must be positive, got {sigma2}")
-        s = self.solve(theta)
+        _, _, logdet_lz, logdet_rx, pwrss = self._profiled(theta)
         n, p = self.n, self.p
         dof = (n - p) if reml else n
-        dev = dof * (LOG_2PI + math.log(sigma2)) + s["logdet_lz"] + s["pwrss"] / sigma2
+        dev = dof * (LOG_2PI + math.log(sigma2)) + logdet_lz + pwrss / sigma2
         if reml:
-            dev += s["logdet_rx"]
+            dev += logdet_rx
         return dev
 
     def vcov_beta(self, theta: np.ndarray, sigma2: float) -> np.ndarray:
-        s = self.solve(theta)
-        return sigma2 * _cho_solve(s["rx_factor"], np.eye(self.p))
+        L = self._factor(theta)[0]
+        q = self.q
+        return sigma2 * _inverse_gram(L[q:-1, q:-1])
+
+
+def _inverse_gram(R: np.ndarray) -> np.ndarray:
+    """(R R')^-1 for a lower-triangular R."""
+    Ri = np.linalg.inv(R)
+    return Ri.T @ Ri
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,7 +367,98 @@ def _minimize_1d(fn: _CountedObjective, starts, budget):
     return np.array([best_x]), best_f, converged
 
 
-def _minimize_nd(fn: _CountedObjective, n_dim, starts, tol, budget):
+class _BudgetSpent(Exception):
+    """A Nelder-Mead run has used its evaluation budget."""
+
+
+def _nelder_mead(fn, x0: np.ndarray, maxfev: int, xatol: float, adaptive: bool):
+    """Nelder-Mead simplex minimization; returns (x, f, nfev, success).
+
+    A port of scipy.optimize's ``minimize(method="Nelder-Mead")`` (scipy
+    1.17) for the options used here: the same initial simplex, step
+    sequence, vertex ordering and evaluation accounting. The stopping
+    rule differs: the run ends, converged, once every vertex lies within
+    ``xatol`` of the best one, whatever the spread of the vertex values.
+    scipy also waits for that spread to fall below ``fatol``, and float
+    noise in the objective can keep it above any fixed ``fatol`` on a
+    simplex that has collapsed to a point, until the budget runs out.
+    ``success`` is False when the budget ran out first.
+    """
+    x0 = np.array(x0, dtype=float).ravel()
+    N = x0.size
+    if adaptive:
+        rho, chi, psi, sigma = 1, 1 + 2 / N, 0.75 - 1 / (2 * N), 1 - 1 / N
+    else:
+        rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    nonzdelt, zdelt = 0.05, 0.00025
+    sim = np.empty((N + 1, N))
+    sim[0] = x0
+    for k in range(N):
+        vertex = x0.copy()
+        vertex[k] = (1 + nonzdelt) * vertex[k] if vertex[k] != 0 else zdelt
+        sim[k + 1] = vertex
+
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _BudgetSpent
+        nfev += 1
+        return fn(x)
+
+    fsim = np.full(N + 1, np.inf)
+    try:
+        for k in range(N + 1):
+            fsim[k] = f(sim[k])
+    except _BudgetSpent:
+        pass
+    ind = np.argsort(fsim)
+    sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    while nfev < maxfev:
+        try:
+            if np.max(np.abs(sim[1:] - sim[0])) <= xatol:
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / N
+            xr = (1 + rho) * xbar - rho * sim[-1]
+            fxr = f(xr)
+            shrink = False
+            if fxr < fsim[0]:
+                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                fxe = f(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-1]:
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc = f(xc)
+                if fxc <= fxr:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    shrink = True
+            else:
+                xcc = (1 - psi) * xbar + psi * sim[-1]
+                fxcc = f(xcc)
+                if fxcc < fsim[-1]:
+                    sim[-1], fsim[-1] = xcc, fxcc
+                else:
+                    shrink = True
+            if shrink:
+                for j in range(1, N + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+        except _BudgetSpent:
+            pass
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim[0], float(np.min(fsim)), nfev, nfev < maxfev
+
+
+def _minimize_nd(fn: _CountedObjective, n_dim, starts, budget):
     """Multi-start Nelder-Mead with theta clamped at zero.
 
     Every start gets a cheap scouting run; only the best is polished at
@@ -380,19 +471,16 @@ def _minimize_nd(fn: _CountedObjective, n_dim, starts, tol, budget):
 
     scout = None
     for start in itertools.product(starts, repeat=n_dim):
-        res = scipy.optimize.minimize(
-            clamped, np.array(start), method="Nelder-Mead",
-            options=dict(maxfev=40 * n_dim, xatol=1e-3, fatol=1e-4,
-                         adaptive=n_dim > 2))
-        if scout is None or res.fun < scout.fun:
-            scout = res
-    best = scipy.optimize.minimize(
-        clamped, scout.x, method="Nelder-Mead",
-        options=dict(maxfev=budget, xatol=1e-9, fatol=tol, adaptive=n_dim > 2))
-    converged = bool(best.success)
-    if scout.fun < best.fun:
+        run = _nelder_mead(clamped, np.array(start), maxfev=40 * n_dim,
+                           xatol=1e-3, adaptive=n_dim > 2)
+        if scout is None or run[1] < scout[1]:
+            scout = run
+    best = _nelder_mead(clamped, scout[0], maxfev=budget, xatol=1e-9,
+                        adaptive=n_dim > 2)
+    converged = best[3]
+    if scout[1] < best[1]:
         best = scout
-    x = np.maximum(best.x, 0.0)
+    x = np.maximum(best[0], 0.0)
     x[x < 1e-10] = 0.0
     # deterministic coordinate-descent polish: NM endpoints scatter at the
     # 1e-6 level run to run, which would leak into the variance estimates;
@@ -474,8 +562,7 @@ def fit_lmm(dm: DesignMatrices, y: np.ndarray, criterion: str = "REML",
         raise DegenerateDataError("response is constant; no variance to decompose")
     # scale-free test, as matrix_rank's default tolerance: a response in the
     # column span of X leaves no residual whose variance could be split
-    beta_ls = np.linalg.lstsq(ws.X, ws.y, rcond=None)[0]
-    if np.linalg.norm(ws.y - ws.X @ beta_ls) <= \
+    if np.linalg.norm(ws.r) <= \
             max(ws.n, ws.p) * np.finfo(float).eps * np.linalg.norm(ws.y):
         raise DegenerateDataError("response lies exactly in the span of the fixed "
                                   "effects; no residual variation to decompose")
@@ -498,7 +585,7 @@ def fit_lmm(dm: DesignMatrices, y: np.ndarray, criterion: str = "REML",
         theta_hat, _, converged = _minimize_1d(objective, opts.multistart, budget)
     else:
         theta_hat, _, converged = _minimize_nd(
-            objective, n_factors, opts.multistart, opts.tol, budget)
+            objective, n_factors, opts.multistart, budget)
     # negligible coordinates are boundary solutions; snap when not worse
     snapped = theta_hat.copy()
     snapped[snapped < 1e-7] = 0.0
@@ -512,7 +599,7 @@ def fit_lmm(dm: DesignMatrices, y: np.ndarray, criterion: str = "REML",
     evals = max(objective.count, 1)
 
     sol = ws.solve(theta_hat)
-    dev = ws._deviance_from(sol, reml)
+    dev = ws._deviance_from(sol["logdet_lz"], sol["logdet_rx"], sol["pwrss"], reml)
     sigma2_eps = sol["pwrss"] / ((ws.n - ws.p) if reml else ws.n)
     if sigma2_eps <= 0 or not math.isfinite(dev):
         raise DegenerateDataError("degenerate variance estimate; response has no "
@@ -523,7 +610,7 @@ def fit_lmm(dm: DesignMatrices, y: np.ndarray, criterion: str = "REML",
         sigma2_eps=float(sigma2_eps),
         theta=tuple(float(t) for t in theta_hat),
     )
-    vcov = sigma2_eps * _cho_solve(sol["rx_factor"], np.eye(ws.p))
+    vcov = sigma2_eps * _inverse_gram(sol["rx_factor"])
     vcov = 0.5 * (vcov + vcov.T)
     return FittedLMM(
         beta=sol["beta"], vc=vc, blups=sol["b"], loglik=-0.5 * dev,

@@ -8,12 +8,19 @@ two-group heteroscedastic means model from first principles.
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
+import os
 
-from expvar.data import FACTOR_COLUMNS, Dataset, ModelSpec, ensure_factor
-from expvar.design import DesignMatrices, build_design
-from expvar.simulate import TreeDesign, generate
+# one BLAS thread, set before numpy loads: the suite's timing gates must not
+# depend on what else runs on the machine
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from expvar.data import FACTOR_COLUMNS, Dataset, ModelSpec, ensure_factor  # noqa: E402
+from expvar.design import DesignMatrices, build_design  # noqa: E402
+from expvar.simulate import TreeDesign, generate  # noqa: E402
 
 
 def dense_reml_deviance(dm: DesignMatrices, y: np.ndarray, theta) -> float:

@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -280,3 +284,49 @@ def test_stdout_tables_printed(tmp_path, capsys):
     captured = capsys.readouterr().out
     assert "variance_components" in captured
     assert "Std.Dev." in captured
+
+
+_NO_SCIPY_SCRIPT = """
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+import expvar
+from expvar.cli import main
+assert not scipy_modules(), ("import expvar", scipy_modules())
+design = {"combos": [["m-net", "adam", 0.45], ["protonet", "sgd", 0.62],
+                     ["tadam", "adam", 0.70]],
+          "n_seeds": 4, "n_configs": 5, "n_reruns": 3, "sigma_seed": 0.005559,
+          "sigma_hparam": 0.042334, "sigma_eps": 0.020828, "rerun_mode": "noisy",
+          "generator_seed": 4}
+space = {"lr": {"kind": "log_uniform", "low": 0.0001, "high": 0.1}}
+with open("design.json", "w") as fh:
+    json.dump(design, fh)
+with open("space.json", "w") as fh:
+    json.dump(space, fh)
+data = ["--input", "sim/dataset.csv"]
+for argv in (["simulate", "--design", "design.json", "--output-dir", "sim"],
+             ["fit", *data, "--output-dir", "fit"],
+             ["ranova", *data, "--output-dir", "ranova"],
+             ["anova", *data, "--output-dir", "anova"],
+             ["contrasts", *data, "--output-dir", "contrasts"],
+             ["boxplot-data", *data, "--output-dir", "box"],
+             ["sample-hparams", "--space", "space.json", "--n", "3",
+              "--output-dir", "hp"]):
+    assert main(argv) == 0, argv
+    assert not scipy_modules(), (argv[0], scipy_modules())
+print("no scipy")
+"""
+
+
+def test_no_scipy_module_is_loaded(tmp_path):
+    # the runtime needs numpy only: a fresh interpreter imports expvar and
+    # runs every CLI command on a paper-size table without loading scipy
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT], cwd=tmp_path,
+                            env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip().endswith("no scipy")
+    assert (tmp_path / "contrasts").is_dir()

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from expvar.data import ModelSpec
-from expvar.design import (DesignError, _check_full_rank, build_design,
+from expvar.data import Dataset, ModelSpec
+from expvar.design import (DesignError, build_design,
                            contrast_rows, difference_rows,
                            drop_random_factor_design, omnibus_rows)
 
@@ -71,16 +71,28 @@ def test_single_level_random_factor_rejected():
         build_design(ds, spec)
 
 
-def test_rank_check_names_dependent_column():
-    X = np.ones((6, 3))
-    X[:3, 1] = 0.0
-    X[:, 2] = X[:, 0] - X[:, 1]  # exact linear dependence
-    with pytest.raises(DesignError, match="rank deficient"):
-        _check_full_rank(X, ("(Intercept)", "b", "c"))
-    Xz = np.ones((4, 2))
-    Xz[:, 1] = 0.0
-    with pytest.raises(DesignError, match="'zero-level'"):
-        _check_full_rank(Xz, ("(Intercept)", "zero-level"))
+def test_rank_refusal_names_unobserved_level():
+    # the direct constructor allows levels that no row uses; X then loses
+    # full column rank, whichever level is missing (the reference included)
+    base = _six_level_dataset()
+    levels = ("a", "b", "c")
+    _, codes = base.factors["model"]
+    for missing in range(3):
+        kept = [j for j in range(3) if j != missing]
+        factors = dict(base.factors)
+        factors["model"] = (levels, np.array(kept, dtype=np.intp)[codes % 2])
+        ds = Dataset(factors=factors, y=base.response())
+        for coding in ("treatment", "sum_to_zero"):
+            for intercept in (True, False):
+                spec = ModelSpec(fixed_factor="model", contrast_coding=coding,
+                                 include_intercept=intercept)
+                with pytest.raises(DesignError, match=f"level {levels[missing]!r} of "
+                                   f"fixed factor 'model' has no observations"):
+                    build_design(ds, spec)
+        # with every level observed the same table builds
+        factors["model"] = (levels, codes)
+        build_design(Dataset(factors=factors, y=base.response()),
+                     ModelSpec(fixed_factor="model"))
 
 
 def test_drop_random_factor_design():

@@ -7,8 +7,8 @@ import pytest
 from expvar import inference
 from expvar.data import ModelSpec
 from expvar.design import build_design, contrast_rows, difference_rows, omnibus_rows
-from expvar.inference import (InferenceError, anova_fixed, contrasts, ranova,
-                              satterthwaite_df)
+from expvar.inference import (InferenceError, _omega_covariance, anova_fixed,
+                              contrasts, ranova, satterthwaite_df)
 from expvar.lmm import FittedLMM, fit_lmm
 from expvar.tails import chisq_sf, t_quantile, t_sf
 
@@ -79,8 +79,19 @@ def _boundary_seed_case():
     return build_design(ds, ModelSpec()), ds.response()
 
 
-def test_ranova_float_noise_clamp_is_quiet(caplog):
+def test_ranova_float_noise_clamp_is_quiet(caplog, monkeypatch):
+    # lift each reduced fit's loglik by 1e-10: the seed LRT then dips below
+    # zero by float noise only, inside the fits' 1e-8 deviance tolerance,
+    # and is clamped without a warning
     dm, y = _boundary_seed_case()
+
+    def lifted_fit(dm, y, **kwargs):
+        fit = fit_lmm(dm, y, **kwargs)
+        if len(dm.z_blocks) == 1:
+            fit = dataclasses.replace(fit, loglik=fit.loglik + 1e-10)
+        return fit
+
+    monkeypatch.setattr(inference, "fit_lmm", lifted_fit)
     with caplog.at_level(logging.WARNING, logger="expvar.inference"):
         result = ranova(dm, y, ModelSpec())
     seed_row = result.rows[0]
@@ -152,6 +163,37 @@ def test_zero_contrast_df_error():
     fit = fit_lmm(dm, ds.response())
     with pytest.raises(InferenceError, match="zero contrast"):
         satterthwaite_df(fit, np.zeros(dm.p))
+
+
+class _QuadraticFit:
+    """Fit protocol stand-in whose deviance is a quadratic form in omega."""
+
+    omega_hat = np.array([1.0, 2.0])
+    converged = True
+    nobs, p = 10, 1
+
+    def __init__(self, H):
+        self.H = np.asarray(H, dtype=float)
+
+    def deviance_at_omega(self, w):
+        d = np.asarray(w) - self.omega_hat
+        return float(0.5 * d @ self.H @ d)
+
+
+def test_omega_covariance_is_twice_inverse_information():
+    H = np.array([[4.0, 1.0], [1.0, 3.0]])
+    assert np.allclose(_omega_covariance(_QuadraticFit(H)), 2.0 * np.linalg.inv(H),
+                       rtol=1e-6, atol=0.0)
+
+
+def test_omega_covariance_refuses_indefinite_information():
+    # a saddle: the positive-definite test must refuse it with the
+    # boundary message, not invert it
+    with pytest.raises(InferenceError, match=r"^variance-parameter information matrix "
+                       r"is not positive definite; this usually means a variance "
+                       r"estimate sits at the boundary \(some sigma\^2 = 0\), where "
+                       r"the Satterthwaite correction is undefined$"):
+        _omega_covariance(_QuadraticFit([[4.0, 0.0], [0.0, -3.0]]))
 
 
 def test_flat_information_raises_boundary_error():

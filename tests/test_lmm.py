@@ -1,15 +1,18 @@
+import hashlib
 import itertools
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 
 import expvar
 from expvar.data import ModelSpec
 from expvar.design import build_design
-from expvar.lmm import (DegenerateDataError, FitError, _Workspace, _cholesky,
+from expvar.lmm import (DegenerateDataError, FitError, _nelder_mead, _Workspace,
                         aic, fit_lmm, reml_deviance)
+from expvar.simulate import TreeDesign, generate
 
 from conftest import (ONE_WAY_SPEC, crossed_dataset, dataset_from_rows,
                       dense_reml_deviance, one_way_dataset, ols_restricted_deviance)
@@ -260,23 +263,27 @@ def test_fitted_aic_property(fixture_a):
 
 
 # ---------------------------------------------------------------------------
-# LAPACK-direct PLS solve against the scipy.linalg wrappers, bit for bit
+# Bordered-Cholesky kernel against the scipy.linalg wrapper solve
 # ---------------------------------------------------------------------------
 
 
-class _ScipyWorkspace(_Workspace):
-    """The PLS solve written with scipy.linalg's wrappers: an exact oracle.
+class _ScipyWorkspace:
+    """The blockwise PLS solve written with scipy.linalg's wrappers.
 
-    The library calls the same LAPACK routines directly with the same
-    arguments, so every float must match, not just agree to a tolerance.
+    An independent reference for the bordered-Cholesky kernel: it forms
+    its own cross-products from the workspace's (canonically ordered)
+    rows and factors ZtZ and the Schur complement separately.
     """
 
+    def __init__(self, ws):
+        self.n, self.p, self.q = ws.n, ws.p, ws.q
+        self.X, self.Z, self.y = ws.X, ws.Z, ws.y
+        self.col_factor, self.n_factors = ws.col_factor, ws.n_factors
+        self.XtX, self.Xty = self.X.T @ self.X, self.X.T @ self.y
+        self.ZtZ, self.ZtX = self.Z.T @ self.Z, self.Z.T @ self.X
+        self.Zty, self.yty = self.Z.T @ self.y, float(self.y @ self.y)
+
     def solve(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.n_factors,):
-            raise FitError(f"theta has shape {theta.shape}")
-        if np.any(theta < 0):
-            raise FitError(f"theta must be non-negative, got {theta}")
         lam = theta[self.col_factor] if self.q else np.zeros(0)
         if self.q:
             A = (lam[:, None] * self.ZtZ) * lam[None, :]
@@ -311,6 +318,21 @@ class _ScipyWorkspace(_Workspace):
         return dict(beta=beta, u=u, b=b, pwrss=pwrss, logdet_lz=logdet_lz,
                     logdet_rx=logdet_rx, rx_factor=(RX, low))
 
+    def deviance(self, theta, reml):
+        s = self.solve(theta)
+        n, p = self.n, self.p
+        if reml:
+            return s["logdet_lz"] + s["logdet_rx"] + \
+                (n - p) * (1.0 + math.log(2.0 * math.pi) + math.log(s["pwrss"] / (n - p)))
+        return s["logdet_lz"] + n * (1.0 + math.log(2.0 * math.pi) + math.log(s["pwrss"] / n))
+
+    def deviance_at(self, theta, sigma2, reml):
+        s = self.solve(theta)
+        dof = (self.n - self.p) if reml else self.n
+        dev = dof * (math.log(2.0 * math.pi) + math.log(sigma2)) + s["logdet_lz"] \
+            + s["pwrss"] / sigma2
+        return dev + s["logdet_rx"] if reml else dev
+
     def vcov_beta(self, theta, sigma2):
         s = self.solve(theta)
         return sigma2 * scipy.linalg.cho_solve(s["rx_factor"], np.eye(self.p),
@@ -336,23 +358,150 @@ def _solve_cases():
             "zero_factor": (zero, y_paper)}
 
 
+def _close(got, want, rel):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    scale = max([1.0] + np.abs(want).ravel().tolist())
+    return got.shape == want.shape and np.all(np.abs(got - want) <= rel * scale)
+
+
 @pytest.mark.parametrize("case", ["one_factor", "paper", "zero_factor"])
-def test_lapack_solve_bit_identical_to_scipy_wrappers(case):
+def test_kernel_matches_scipy_wrapper_oracle(case):
+    # the two solves factor the same system in different orders, so they
+    # agree to rounding, scaled by max(1, |value|): 1e-12 relative while
+    # theta <= 1; at theta = 1e4 the Z block's condition number is about
+    # theta^2 = 1e8, and both solves lose that factor (1e4 * eps * theta^2)
     dm, y = _solve_cases()[case]
     ws = _Workspace(dm, y)
-    oracle = _ScipyWorkspace(dm, y)
+    oracle = _ScipyWorkspace(ws)
     for theta in itertools.product(_THETA_AXIS, repeat=ws.n_factors):
         theta = np.array(theta)
+        rel = 1e-12 + 1e4 * np.finfo(float).eps * float(np.max(theta, initial=0.0)) ** 2
         got, want = ws.solve(theta), oracle.solve(theta)
-        for key in ("beta", "u", "b", "pwrss", "logdet_lz", "logdet_rx"):
-            assert np.array_equal(got[key], want[key]), (key, theta)
+        for key in ("logdet_lz", "logdet_rx", "pwrss", "beta", "u", "b"):
+            assert _close(got[key], want[key], rel), (key, theta)
         for reml in (True, False):
-            assert ws.deviance(theta, reml=reml) == oracle.deviance(theta, reml=reml)
-            assert ws.deviance_at(theta, 0.7, reml=reml) == \
-                oracle.deviance_at(theta, 0.7, reml=reml)
-        assert np.array_equal(ws.vcov_beta(theta, 0.7), oracle.vcov_beta(theta, 0.7))
+            assert _close(ws.deviance(theta, reml=reml),
+                          oracle.deviance(theta, reml=reml), rel), (reml, theta)
+            assert _close(ws.deviance_at(theta, 0.7, reml=reml),
+                          oracle.deviance_at(theta, 0.7, reml=reml), rel), (reml, theta)
+        assert _close(ws.vcov_beta(theta, 0.7), oracle.vcov_beta(theta, 0.7), rel), theta
 
 
-def test_cholesky_helper_rejects_indefinite_matrix():
-    with pytest.raises(np.linalg.LinAlgError):
-        _cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+def test_kernel_pads_a_corner_lost_to_cancellation():
+    # when rounding leaves the corner's Schur complement non-positive, the
+    # corner is padded so the factorization completes, and the PWRSS then
+    # comes from explicit residuals; forced here by spoiling the corner
+    dm, y = _solve_cases()["paper"]
+    ws = _Workspace(dm, y)
+    theta = np.array([0.3, 1.0])
+    want = ws.solve(theta)
+    ws.M[-1, -1] = -1.0
+    L, _, pad = ws._factor(theta)
+    assert pad == max(ws.yty, 1.0) and np.isfinite(L).all()
+    got = ws.solve(theta)
+    assert got["pwrss"] == pytest.approx(want["pwrss"], rel=1e-12)
+    assert np.allclose(got["beta"], want["beta"], rtol=1e-12, atol=0.0)
+
+
+def test_exact_fit_has_zero_pwrss_at_theta_zero():
+    ds = crossed_dataset(generator_seed=3)
+    dm = build_design(ds, ModelSpec())
+    ws = _Workspace(dm, dm.X @ np.array([0.5, 0.1]))
+    assert ws.solve(np.zeros(2))["pwrss"] < 1e-25
+    assert np.allclose(ws.vcov_beta(np.zeros(2), 1.0), np.linalg.inv(dm.X.T @ dm.X),
+                       rtol=1e-12, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Nelder-Mead port against scipy.optimize
+# ---------------------------------------------------------------------------
+
+
+def _rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+def _walled(x):
+    # inf outside x[0] >= 0.2, as the fit's objective is outside its domain
+    if x[0] < 0.2:
+        return math.inf
+    return float((x[0] - 0.3) ** 2 + 3.0 * (x[1] + 0.5) ** 2 + (x[2] - x[0]) ** 2)
+
+
+def _scipy_run(fn, x0, maxfev, xatol, adaptive, fatol=np.inf):
+    res = scipy.optimize.minimize(fn, x0, method="Nelder-Mead",
+                                  options=dict(maxfev=maxfev, xatol=xatol,
+                                               fatol=fatol, adaptive=adaptive))
+    return res.x, res.fun, res.nfev, bool(res.success)
+
+
+@pytest.mark.parametrize("fn, x0, maxfev, xatol, adaptive, success", [
+    (_rosenbrock, (-1.2, 1.0), 2000, 1e-9, False, True),
+    (_rosenbrock, (-1.2, 1.0, 0.5), 3000, 1e-9, True, True),
+    (_rosenbrock, (-1.2, 1.0), 80, 1e-3, False, False),
+    (_rosenbrock, (0.1, 1.0, 10.0), 120, 1e-3, True, False),
+    (_rosenbrock, (0.0, 0.0), 2, 1e-3, False, False),
+    (_rosenbrock, (0.0, 0.0), 80, 1e-3, False, True),
+    (_walled, (0.21, 1.0, 0.0), 3000, 1e-9, True, True),
+    (_walled, (0.21, 1.0, 0.0), 3000, 1e-9, False, True),
+], ids=["rosen2", "rosen3-adaptive", "rosen2-maxfev", "rosen3-adaptive-maxfev",
+        "maxfev-in-first-simplex", "first-simplex-small", "inf-adaptive", "inf"])
+def test_nelder_mead_port_equals_scipy(fn, x0, maxfev, xatol, adaptive, success):
+    # with fatol = inf scipy stops on the simplex size alone, the port's rule
+    x, f, nfev, ok = _nelder_mead(fn, np.array(x0), maxfev=maxfev, xatol=xatol,
+                                  adaptive=adaptive)
+    sx, sf, snfev, sok = _scipy_run(fn, np.array(x0), maxfev, xatol, adaptive)
+    assert np.array_equal(x, sx) and f == sf and nfev == snfev and ok == sok
+    assert ok == success
+
+
+def test_nelder_mead_port_equals_scipy_on_the_fit_objective(fixture_b):
+    # the clamped paper-size deviance: the scout and polish settings of the
+    # fit; here scipy's fatol stop binds no later than the simplex size
+    dm, y = fixture_b
+    ws = _Workspace(dm, y)
+
+    def fn(t):
+        return ws.deviance(np.maximum(t, 0.0))
+
+    for x0, maxfev, xatol, fatol in (((0.1, 1.0), 80, 1e-3, 1e-4),
+                                     ((1.0, 1.0), 1000, 1e-9, 1e-8)):
+        got = _nelder_mead(fn, np.array(x0), maxfev=maxfev, xatol=xatol, adaptive=False)
+        want = _scipy_run(fn, np.array(x0), maxfev, xatol, False, fatol=fatol)
+        assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+
+
+def _noisy_bowl(x):
+    # a smooth bowl plus deterministic noise of 1e-7, a hash of the point:
+    # the vertex values of a collapsed simplex never agree within 1e-8
+    digest = hashlib.blake2b(np.asarray(x, dtype=float).tobytes(), digest_size=4).digest()
+    noise = 1e-7 * (int.from_bytes(digest, "little") / 2.0 ** 32 - 0.5)
+    return float(np.sum((np.asarray(x) - 1.0) ** 2)) + noise
+
+
+def test_collapsed_simplex_converges_despite_noise():
+    x0 = np.array([0.3, 2.0])
+    sx, _, snfev, sok = _scipy_run(_noisy_bowl, x0, 1000, 1e-9, False, fatol=1e-8)
+    assert not sok and snfev == 1000
+    assert np.max(np.abs(sx - 1.0)) < 1e-2
+    x, _, nfev, ok = _nelder_mead(_noisy_bowl, x0, maxfev=1000, xatol=1e-9,
+                                  adaptive=False)
+    assert ok and nfev < 1000
+    assert np.max(np.abs(x - 1.0)) < 1e-2
+
+
+def test_large_fit_converges_on_float_noise_seed():
+    # the 60k-row, q = 150 table the CLI benchmark simulates at seed 100:
+    # its polish used to spend the whole budget on a simplex collapsed to
+    # 6e-17 whose deviances (about -2.9e5) differed by float noise only
+    design = TreeDesign(combos=(("m-net", "adam", 0.45), ("protonet", "sgd", 0.62),
+                                ("tadam", "adam", 0.70), ("maml", "sgd", 0.55)),
+                        n_seeds=50, n_configs=100, n_reruns=3, sigma_seed=0.005559,
+                        sigma_hparam=0.042334, sigma_eps=0.020828,
+                        rerun_mode="noisy", generator_seed=100)
+    ds = expvar.ensure_factor(generate(design), "model:optimizer")
+    dm = build_design(ds, ModelSpec())
+    fit = fit_lmm(dm, ds.response())
+    assert dm.n == 60000 and dm.q == 150
+    assert fit.converged
+    assert fit.deviance_profile_evals < 1500
