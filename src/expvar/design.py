@@ -1,9 +1,13 @@
-"""Fixed-effect contrast matrix and random-effect indicator matrix.
+"""Fixed-effect contrast matrix and random-effect level codes.
 
 The fixed part X encodes one categorical factor (optionally with an
-intercept) under treatment or sum-to-zero coding; the random part Z is a
-block of one-hot indicator columns per grouping factor. Everything is a
-pure function of the dataset, so rebuilding gives bit-identical matrices.
+intercept) under treatment or sum-to-zero coding. The random part is one
+column of level codes per grouping factor, each owning a block of
+columns of the indicator matrix Z. Z is never formed: the mixed-model
+cross-products are counts and sums over the codes, and ``DesignMatrices.Z``
+builds the dense one-hot matrix on demand only for oracles and diagnostics.
+Everything is a pure function of the dataset, so rebuilding gives
+bit-identical matrices.
 """
 
 from __future__ import annotations
@@ -24,12 +28,13 @@ class DesignMatrices:
     """Model matrices plus the label bookkeeping needed for reports.
 
     ``z_blocks`` maps each random factor to its contiguous column range in
-    Z; ``z_level_names`` holds the level labels in column order within each
-    block.
+    Z; ``z_codes`` holds each factor's level code per row, an index into
+    its block, and ``z_level_names`` the level labels in column order
+    within each block.
     """
 
     X: np.ndarray
-    Z: np.ndarray
+    z_codes: dict[str, np.ndarray]
     column_map: tuple[str, ...]
     z_blocks: dict[str, slice]
     z_level_names: dict[str, tuple[str, ...]]
@@ -48,11 +53,19 @@ class DesignMatrices:
 
     @property
     def q(self) -> int:
-        return self.Z.shape[1]
+        return sum(block.stop - block.start for block in self.z_blocks.values())
 
     @property
     def random_factors(self) -> tuple[str, ...]:
         return tuple(self.z_blocks)
+
+    @property
+    def Z(self) -> np.ndarray:
+        """The dense one-hot n x q indicator matrix, built on each access."""
+        Z = np.zeros((self.n, self.q))
+        for factor, block in self.z_blocks.items():
+            Z[np.arange(self.n), block.start + self.z_codes[factor]] = 1.0
+        return Z
 
 
 def _level_rows(levels: tuple[str, ...], coding: str,
@@ -81,7 +94,7 @@ def _level_rows(levels: tuple[str, ...], coding: str,
 
 
 def build_design(dataset: Dataset, spec: ModelSpec) -> DesignMatrices:
-    """Build X and Z for a dataset under a model declaration.
+    """Build X and the random factors' level codes for a dataset.
 
     Requires every random factor to have at least two observed levels
     (a single level makes its variance unidentifiable) and every fixed
@@ -105,7 +118,7 @@ def build_design(dataset: Dataset, spec: ModelSpec) -> DesignMatrices:
 
     blocks: dict[str, slice] = {}
     z_levels: dict[str, tuple[str, ...]] = {}
-    z_codes = []
+    z_codes: dict[str, np.ndarray] = {}
     start = 0
     for factor in spec.random_factors:
         if factor not in dataset.factor_names:
@@ -115,38 +128,30 @@ def build_design(dataset: Dataset, spec: ModelSpec) -> DesignMatrices:
         if len(f_levels) < 2:
             raise DesignError(f"random factor {factor!r} has a single level "
                               f"{f_levels[0]!r}; its variance is unidentifiable")
-        z_codes.append(start + dataset.level_codes(factor))
+        z_codes[factor] = dataset.level_codes(factor)
         blocks[factor] = slice(start, start + len(f_levels))
         z_levels[factor] = f_levels
         start += len(f_levels)
-    n = dataset.n
-    Z = np.zeros((n, start))
-    for columns in z_codes:
-        Z[np.arange(n), columns] = 1.0
 
     X.setflags(write=False)
-    Z.setflags(write=False)
-    return DesignMatrices(X=X, Z=Z, column_map=column_map, z_blocks=blocks,
+    return DesignMatrices(X=X, z_codes=z_codes, column_map=column_map, z_blocks=blocks,
                           z_level_names=z_levels, fixed_factor=spec.fixed_factor,
                           fixed_levels=levels, coding=spec.contrast_coding,
                           include_intercept=spec.include_intercept)
 
 
 def drop_random_factor_design(dm: DesignMatrices, factor: str) -> DesignMatrices:
-    """Design with one random factor's indicator block removed."""
+    """Design with one random factor's codes and column block removed."""
     if factor not in dm.z_blocks:
         raise DataError(f"unknown random factor {factor!r}; have {list(dm.z_blocks)}")
     keep = [f for f in dm.z_blocks if f != factor]
-    parts = [dm.Z[:, dm.z_blocks[f]] for f in keep]
-    Z = np.hstack(parts) if parts else np.zeros((dm.n, 0))
     blocks: dict[str, slice] = {}
     start = 0
     for f in keep:
         width = dm.z_blocks[f].stop - dm.z_blocks[f].start
         blocks[f] = slice(start, start + width)
         start += width
-    Z.setflags(write=False)
-    return replace(dm, Z=Z, z_blocks=blocks,
+    return replace(dm, z_codes={f: dm.z_codes[f] for f in keep}, z_blocks=blocks,
                    z_level_names={f: dm.z_level_names[f] for f in keep})
 
 

@@ -10,7 +10,8 @@ scaled by theta on the Z block (the penalized least-squares form of
 Bates et al. 2015, JSS 67(1)): the factor's diagonal gives both log
 determinants and its last pivot the penalized residual sum of squares,
 so the marginal covariance is never formed; the dense-covariance formula
-is kept as a test oracle only.
+is kept as a test oracle only. Z is never formed either: its blocks of
+that matrix are counts and sums over the random factors' level codes.
 """
 
 from __future__ import annotations
@@ -78,38 +79,54 @@ class _Workspace:
         y = np.asarray(y, dtype=float)
         if y.shape != (dm.n,):
             raise FitError(f"response has shape {y.shape}, expected ({dm.n},)")
-        X, Z = dm.X, dm.Z
+        X = dm.X
         # canonical row order: float sums then do not depend on the input
         # row order, so permuting observations reproduces estimates exactly
         order = self._canonical_order(dm, X, y)
-        X, Z, y = X[order], Z[order], y[order]
+        X, y = X[order], y[order]
         self.n, self.p = X.shape
-        self.q = q = Z.shape[1]
-        self.X, self.Z, self.y = X, Z, y
+        self.factors = tuple(dm.z_blocks)
+        self.n_factors = len(self.factors)
+        self.q = q = dm.q
+        self.X, self.y = X, y
+        blocks = [dm.z_blocks[f] for f in self.factors]
+        # Z column of each row, per random factor, in canonical order
+        self.z_columns = [b.start + dm.z_codes[f][order]
+                          for f, b in zip(self.factors, blocks)]
         # the border holds the least-squares residual r = y - X beta0 in
         # place of y: the deviance is the same, and the corner's Schur
         # complement, the PWRSS, then cancels against r'r instead of y'y
         self.beta0 = np.linalg.lstsq(X, y, rcond=None)[0]
         self.r = r = y - X @ self.beta0
-        # M = [Z X r]'[Z X r], filled block by block so that no n-row
-        # copy of the stacked columns is made
-        M = np.empty((q + self.p + 1,) * 2)
-        ZtX = Z.T @ X
-        M[:q, :q] = Z.T @ Z
-        M[:q, q:-1] = ZtX
-        M[q:-1, :q] = ZtX.T
+        # M = [Z X r]'[Z X r], filled block by block; the Z blocks are
+        # counts and sums over the level codes, so Z itself is never formed
+        M = np.zeros((q + self.p + 1,) * 2)
+        Xr = np.column_stack([X, r])
+        stride = Xr.shape[1]
+        for i, (f, bi) in enumerate(zip(self.factors, blocks)):
+            codes, width = dm.z_codes[f], bi.stop - bi.start
+            M[bi, bi] = np.diag(np.bincount(codes, minlength=width))
+            for g, bj in zip(self.factors[i + 1:], blocks[i + 1:]):
+                # contingency table of the two factors' level pairs
+                other = bj.stop - bj.start
+                pairs = np.bincount(codes * other + dm.z_codes[g], minlength=width * other)
+                M[bi, bj] = pairs.reshape(width, other)
+                M[bj, bi] = M[bi, bj].T
+            # Z'[X r]: each row of [X r] summed into its level's row, in
+            # canonical row order
+            cells = (self.z_columns[i][:, None] * stride + np.arange(stride)).ravel()
+            sums = np.bincount(cells, weights=Xr.ravel(), minlength=bi.stop * stride)
+            M[bi, q:] = sums.reshape(bi.stop, stride)[bi]
+            M[q:, bi] = M[bi, q:].T
         M[q:-1, q:-1] = X.T @ X
-        M[:q, -1] = M[-1, :q] = Z.T @ r
         M[q:-1, -1] = M[-1, q:-1] = X.T @ r
         M[-1, -1] = r @ r
         self.M = M
         self.yty = float(y @ y)
         # column j of Z belongs to random factor col_factor[j]
-        self.factors = tuple(dm.z_blocks)
         self.col_factor = np.zeros(q, dtype=np.intp)
-        for i, f in enumerate(self.factors):
-            self.col_factor[dm.z_blocks[f]] = i
-        self.n_factors = len(self.factors)
+        for i, block in enumerate(blocks):
+            self.col_factor[block] = i
         self._zdiag = np.diag_indices(q)
 
     @staticmethod
@@ -118,8 +135,15 @@ class _Workspace:
         keys = [y]
         keys.extend(X.T[::-1])
         for factor in reversed(tuple(dm.z_blocks)):
-            keys.append(dm.Z[:, dm.z_blocks[factor]].argmax(axis=1))
+            keys.append(dm.z_codes[factor])
         return np.lexsort(tuple(keys))
+
+    def _z_times(self, b: np.ndarray) -> np.ndarray:
+        """Z @ b, as a gather of b over each factor's columns."""
+        out = np.zeros(self.n)
+        for columns in self.z_columns:
+            out += b[columns]
+        return out
 
     def _factor(self, theta: np.ndarray):
         """Lower Cholesky factor of the scaled bordered matrix at theta.
@@ -164,7 +188,7 @@ class _Workspace:
         if pwrss < 1e-8 * max(self.yty, 1.0):
             # cancellation eats the value: use explicit residuals
             u, shift = self._modes(L)
-            resid = self.r - self.X @ shift - self.Z @ (lam * u)
+            resid = self.r - self.X @ shift - self._z_times(lam * u)
             pwrss = float(resid @ resid + u @ u)
         return L, lam, logdet_lz, logdet_rx, pwrss
 

@@ -13,6 +13,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -77,7 +78,32 @@ class Table:
         return {"table": self.name, "columns": list(self.columns), "rows": rows}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2) + "\n"
+        """``json.dumps(self.to_json_obj(), indent=2)`` plus a newline.
+
+        The cells are rendered a column at a time: json uses its C encoder
+        only without ``indent``, and its Python one is slow on large
+        tables. Names or labels that are not all strings, and repeated
+        keys, which a dict merges, take json's path.
+        """
+        keys = ([] if self.row_labels is None else ["label"]) + list(self.columns)
+        names = (self.name, *keys, *(self.row_labels or ()))
+        if len(set(keys)) < len(keys) or not all(isinstance(s, str) for s in names):
+            return json.dumps(self.to_json_obj(), indent=2) + "\n"
+        texts = [_json_texts(self._json_value, column) for column in zip(*self.rows)]
+        if self.row_labels is not None:
+            texts.insert(0, list(map(encode_basestring_ascii, self.row_labels)))
+        if keys:
+            # one %-template per row, so the keys' own % signs are escaped
+            row = ",\n".join(f"      {encode_basestring_ascii(key).replace('%', '%%')}: %s"
+                              for key in keys)
+            row = f"    {{\n{row}\n    }}"
+            rows = [row % values for values in zip(*texts)]
+        else:
+            rows = ["    {}"] * len(self.rows)
+        columns = [f"    {encode_basestring_ascii(c)}" for c in self.columns]
+        return (f'{{\n  "table": {encode_basestring_ascii(self.name)},\n'
+                f'  "columns": {_json_list(columns)},\n'
+                f'  "rows": {_json_list(rows)}\n}}\n')
 
     def to_text(self) -> str:
         """Fixed-width rendering for terminal output."""
@@ -86,6 +112,44 @@ class Table:
             width = max(map(len, column))
             padded.append([cell.rjust(width) for cell in column])
         return "\n".join(map("  ".join, zip(*padded))) + "\n"
+
+
+def _json_list(items: list[str]) -> str:
+    """A list of already indented items, as json.dumps(indent=2) nests it."""
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
+def _json_scalar(value) -> str:
+    """JSON text of an already converted table value (NaN is None by then)."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if math.isinf(value):
+        return "Infinity" if value > 0 else "-Infinity"
+    return float.__repr__(value)
+
+
+def _json_texts(convert, column) -> list[str]:
+    """JSON texts of one column's cells, as ``json.dumps(convert(cell))``.
+
+    Columns of one plain type (the bulk of large tables) are mapped
+    through a single formatter; anything else goes cell by cell.
+    """
+    kinds = set(map(type, column))
+    if kinds == {float} and all(map(math.isfinite, column)):
+        return list(map(float.__repr__, column))
+    if kinds == {str}:
+        return list(map(encode_basestring_ascii, column))
+    if kinds == {int}:
+        return list(map(int.__repr__, column))
+    return [_json_scalar(convert(value)) for value in column]
 
 
 def _cell(value) -> str:

@@ -5,7 +5,11 @@ incomplete beta functions, evaluated by Lentz's continued fraction
 (Press et al., Numerical Recipes 3rd ed. §6.4); the power prefactor
 x^a (1-x)^b / B(a, b) is assembled from Stirling-series corrections when
 a parameter is large, so that no large log-gamma values cancel
-(DiDonato & Morris 1992, ACM TOMS 18:360). The chi-square tail is the
+(DiDonato & Morris 1992, ACM TOMS 18:360). When one beta parameter is
+large and the other small, the fraction loses about (large parameter) x
+eps to rounding near x = 1, so there the tail is summed from DiDonato and
+Morris's asymptotic expansion in incomplete gamma functions (BGRAT,
+their eq. 9) instead. The chi-square tail is the
 regularized upper incomplete gamma function, erfc for one degree of
 freedom and a series or continued fraction otherwise. The t quantile
 takes Newton steps from Hill's approximation (1970, CACM Alg. 396).
@@ -30,6 +34,11 @@ _MAX_TERMS = 100_000
 #: its small correction, which then cancel without loss.
 _STIRLING_FROM = 10.0
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+#: I_x(a, b) with a at least this and b at most _EXPANSION_MAX_B is summed
+#: by the asymptotic expansion rather than the continued fraction.
+_EXPANSION_FROM = 1000.0
+_EXPANSION_MAX_B = 100.0
+_EXPANSION_TERMS = 30
 
 
 def _check_df(df: float, name: str = "df") -> float:
@@ -96,6 +105,56 @@ def _beta_fraction(a: float, b: float, x: float) -> float:
     raise ArithmeticError(f"incomplete beta fraction did not converge (a={a}, b={b})")
 
 
+def _beta_expansion(a: float, b: float, x: float, y: float) -> float:
+    """I_x(a, b) for a >= _EXPANSION_FROM and 0 < b <= 1 (BGRAT).
+
+    I_x(a, b) = M sum_n p_n J_n, with T = a + (b - 1) / 2, u = -T log x,
+    J_0 = Q(b, u) / H(b, u) for H = u^b e^-u / Gamma(b), the J_n and p_n
+    by the recurrences of DiDonato & Morris (1992, eqs. 9.3-9.6), and
+    M = H Gamma(a + b) / (Gamma(a) T^b).
+    """
+    t = a + 0.5 * (b - 1.0)
+    lx = math.log1p(-y) if y < 0.35 else math.log(x)
+    u = -t * lx
+    h = math.exp(_log_gamma_power(b, u))
+    if h == 0.0:
+        return 0.0
+    q = math.erfc(math.sqrt(u)) if b == 0.5 else _gamma_upper(b, u)
+    j = q / h
+    total = j
+    p = [1.0]
+    lx2 = 0.25 * lx * lx
+    lxp = 1.0
+    t4 = 4.0 * t * t
+    b2n = b
+    for n in range(1, _EXPANSION_TERMS):
+        pn = sum((m * b - n) * p[n - m] / math.factorial(2 * m + 1) for m in range(1, n))
+        p.append(pn / n + (b - 1.0) / math.factorial(2 * n + 1))
+        j = (b2n * (b2n + 1.0) * j + (u + b2n + 1.0) * lxp) / t4
+        lxp *= lx2
+        b2n += 2.0
+        term = p[n] * j
+        total += term
+        if abs(term) <= _EPS * abs(total):
+            break
+    return h * math.exp(-_lgamma_drop(a, b) - b * math.log(t)) * total
+
+
+def _beta_lower(a: float, b: float, x: float, y: float) -> float:
+    """I_x(a, b) for x below the mean, where the fraction converges fast.
+
+    With a large and b small, b is first lowered into (0, 1] by
+    I_x(a, c + 1) = I_x(a, c) + x^a y^c / (c B(a, c)), whose added terms
+    are all positive, and the rest is summed by the expansion.
+    """
+    if a >= _EXPANSION_FROM and b <= _EXPANSION_MAX_B:
+        low = b - math.ceil(b) + 1.0
+        steps = sum(math.exp(_log_beta_power(a, c, x, y)) / c
+                    for c in (low + k for k in range(round(b - low))))
+        return steps + _beta_expansion(a, low, x, y)
+    return math.exp(_log_beta_power(a, b, x, y)) * _beta_fraction(a, b, x) / a
+
+
 def _beta_pair(a: float, b: float, x: float, y: float) -> tuple[float, float]:
     """(I_x(a, b), 1 - I_x(a, b)) with y = 1 - x given separately.
 
@@ -107,11 +166,10 @@ def _beta_pair(a: float, b: float, x: float, y: float) -> tuple[float, float]:
         return 0.0, 1.0
     if y == 0.0:
         return 1.0, 0.0
-    front = math.exp(_log_beta_power(a, b, x, y))
     if x < (a + 1.0) / (a + b + 2.0):
-        w = front * _beta_fraction(a, b, x) / a
+        w = _beta_lower(a, b, x, y)
         return w, 1.0 - w
-    w = front * _beta_fraction(b, a, y) / b
+    w = _beta_lower(b, a, y, x)
     return 1.0 - w, w
 
 
@@ -200,6 +258,14 @@ def _t_two_sided(x: float, df: float) -> tuple[float, float]:
     if x == 0.0:
         return 1.0, 0.0
     w, v = _split(df / x, x)  # df / (df + x^2), without overflow in x^2
+    if w < _TINY:
+        # I_w(a, 1/2) = w^a / (a B(a, 1/2)) (1 + O(w)), from log w: at a
+        # small df, w can underflow while the tail is still of order one
+        a = 0.5 * df
+        log_w = math.log(df) - 2.0 * math.log(x) - math.log1p(df / x / x)
+        outside = math.exp(a * log_w - math.log(a) - math.lgamma(0.5)
+                           - _lgamma_drop(a, 0.5))
+        return outside, 1.0 - outside
     return _beta_pair(0.5 * df, 0.5, w, v)
 
 
@@ -258,6 +324,8 @@ def _t_upper_quantile(tail: float, df: float) -> float:
     be taken, is replaced by the bracket's geometric midpoint, or by
     squaring while no upper end is known.
     """
+    if 0.5 * _t_two_sided(_MAX, df)[0] > tail:
+        return math.inf  # the quantile lies beyond the double range
     try:
         q = _hill_start(tail, df)
     except (ValueError, OverflowError, ZeroDivisionError):
@@ -271,8 +339,6 @@ def _t_upper_quantile(tail: float, df: float) -> float:
         if sf == tail:
             return q
         if sf > tail:
-            if q == _MAX:
-                return math.inf
             lo = q
         else:
             hi = q

@@ -104,6 +104,20 @@ def test_drop_random_factor_design():
     assert np.array_equal(reduced.Z, dm.Z[:, dm.z_blocks["hparams"]])
 
 
+def test_drop_random_factor_design_keeps_codes_and_reoffsets_blocks():
+    ds = crossed_dataset(generator_seed=4)
+    dm = build_design(ds, ModelSpec(random_factors=("seed", "hparams", "rerun")))
+    reduced = drop_random_factor_design(dm, "hparams")
+    n_seed, n_rerun = len(dm.z_level_names["seed"]), len(dm.z_level_names["rerun"])
+    assert reduced.z_blocks == {"seed": slice(0, n_seed),
+                                "rerun": slice(n_seed, n_seed + n_rerun)}
+    assert list(reduced.z_codes) == ["seed", "rerun"]
+    assert reduced.z_codes["rerun"] is dm.z_codes["rerun"]
+    assert reduced.q == n_seed + n_rerun
+    assert np.array_equal(reduced.Z, np.hstack([dm.Z[:, dm.z_blocks["seed"]],
+                                                dm.Z[:, dm.z_blocks["rerun"]]]))
+
+
 def test_contrast_rows_treatment_vs_reference():
     ds = _six_level_dataset()
     from expvar.data import cross_factor

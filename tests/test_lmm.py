@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ import scipy.linalg
 import scipy.optimize
 
 import expvar
-from expvar.data import ModelSpec
+from expvar.data import FACTOR_COLUMNS, Dataset, ModelSpec
 from expvar.design import build_design
+from expvar.inference import ranova
 from expvar.lmm import (DegenerateDataError, FitError, _nelder_mead, _Workspace,
                         aic, fit_lmm, reml_deviance)
 from expvar.simulate import TreeDesign, generate
@@ -23,8 +25,9 @@ class _BareDesign:
 
     def __init__(self, X):
         self.X = np.asarray(X, dtype=float)
-        self.Z = np.zeros((self.X.shape[0], 0))
+        self.z_codes = {}
         self.z_blocks = {}
+        self.q = 0
         self.column_map = tuple(f"c{i}" for i in range(self.X.shape[1]))
 
     @property
@@ -277,7 +280,11 @@ class _ScipyWorkspace:
 
     def __init__(self, ws):
         self.n, self.p, self.q = ws.n, ws.p, ws.q
-        self.X, self.Z, self.y = ws.X, ws.Z, ws.y
+        self.X, self.y = ws.X, ws.y
+        # dense indicators from the workspace's level codes
+        self.Z = np.zeros((self.n, self.q))
+        for columns in ws.z_columns:
+            self.Z[np.arange(self.n), columns] = 1.0
         self.col_factor, self.n_factors = ws.col_factor, ws.n_factors
         self.XtX, self.Xty = self.X.T @ self.X, self.X.T @ self.y
         self.ZtZ, self.ZtX = self.Z.T @ self.Z, self.Z.T @ self.X
@@ -410,6 +417,85 @@ def test_exact_fit_has_zero_pwrss_at_theta_zero():
     assert ws.solve(np.zeros(2))["pwrss"] < 1e-25
     assert np.allclose(ws.vcov_beta(np.zeros(2), 1.0), np.linalg.inv(dm.X.T @ dm.X),
                        rtol=1e-12, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Cross-products from level codes against a dense indicator matrix
+# ---------------------------------------------------------------------------
+
+
+def _random_labels(seed: int, n: int, sizes: dict) -> Dataset:
+    """Uniformly drawn labels, so cells are unbalanced and some cross pairs
+    are never observed, and a response with an effect per random factor."""
+    rng = np.random.default_rng(seed)
+    labels, y = {}, rng.normal(0.0, 0.1, n)
+    for name in FACTOR_COLUMNS:
+        codes = rng.integers(0, sizes.get(name, 1), n)
+        labels[name] = [f"{name[0]}{c:03d}" for c in codes]
+        y += rng.normal(0.0, 0.2, sizes.get(name, 1))[codes]
+    return Dataset.from_labels(labels, y)
+
+
+def _one_hot(labels) -> np.ndarray:
+    labels = np.asarray(labels)
+    return (labels[:, None] == np.unique(labels)[None, :]).astype(float)
+
+
+@pytest.mark.parametrize("random_factors", [("seed",), ("seed", "hparams"),
+                                            ("hparams", "seed", "rerun")])
+@pytest.mark.parametrize("coding, intercept", [("treatment", True),
+                                               ("sum_to_zero", True),
+                                               ("treatment", False)])
+def test_cross_products_from_codes_match_dense_indicators(random_factors, coding,
+                                                          intercept):
+    ds = _random_labels(len(random_factors), 90,
+                        {"model": 3, "seed": 7, "hparams": 11, "rerun": 4})
+    spec = ModelSpec(fixed_factor="model", random_factors=random_factors,
+                     contrast_coding=coding, include_intercept=intercept)
+    dm = build_design(ds, spec)
+    y = ds.response()
+    ws = _Workspace(dm, y)
+    # the oracle: indicators from the labels themselves, in input row order
+    Z = np.hstack([_one_hot([ds.levels(f)[c] for c in ds.level_codes(f)])
+                   for f in random_factors])
+    r = y - dm.X @ np.linalg.lstsq(dm.X, y, rcond=None)[0]
+    W = np.column_stack([Z, dm.X, r])
+    dense, bound = W.T @ W, np.abs(W).T @ np.abs(W)
+    if len(random_factors) > 1:
+        assert (dense[:dm.q, :dm.q] == 0.0).sum() > dm.q  # unobserved pairs
+    # counts and the X blocks are integers: exactly equal
+    assert np.array_equal(ws.M[:-1, :-1], dense[:-1, :-1])
+    # the r border is a sum of rounded terms: within 1e-12 of their size
+    assert np.all(np.abs(ws.M[:, -1] - dense[:, -1]) <= 1e-12 * bound[:, -1])
+    # permuted rows give the same matrix, bit for bit
+    perm = np.random.default_rng(5).permutation(ds.n)
+    shuffled = ds.take(perm)
+    assert np.array_equal(_Workspace(build_design(shuffled, spec),
+                                     shuffled.response()).M, ws.M)
+    # Z gathered over the codes is the dense product
+    b = np.linspace(-1.0, 1.0, dm.q)
+    assert np.array_equal(np.sort(ws._z_times(b)), np.sort(Z @ b))
+
+
+def test_fit_and_ranova_allocate_no_dense_indicator_matrix():
+    # a dense n x q Z would take 20.8 MB here; building the design, one fit
+    # and the three ranova fits must together stay below a quarter of it
+    # (each live workspace holds a few n-vectors, under 1 MB in all)
+    n, sizes = 20_000, {"model": 1, "seed": 30, "hparams": 100}
+    ds = _random_labels(0, n, sizes)
+    spec = ModelSpec(fixed_factor="model", random_factors=("seed", "hparams"))
+    dense_bytes = n * (sizes["seed"] + sizes["hparams"]) * 8
+    assert dense_bytes >= 20e6
+    tracemalloc.start()
+    try:
+        dm = build_design(ds, spec)
+        fit = fit_lmm(dm, ds.response())
+        result = ranova(dm, ds.response(), spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fit.converged and result.converged
+    assert peak < dense_bytes / 4, peak
 
 
 # ---------------------------------------------------------------------------

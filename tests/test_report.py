@@ -5,6 +5,7 @@ import io
 import json
 
 import numpy as np
+import pytest
 
 from expvar.report import Table, boxplot_table
 
@@ -87,3 +88,29 @@ def test_table_renderings_match_per_cell_oracle():
     empty = Table(name="e", columns=("a", "b"), rows=())
     assert empty.to_csv() == "a,b\n"
     assert empty.to_text() == "a  b\n"
+
+
+def _json_dumps(table: Table) -> str:
+    return json.dumps(table.to_json_obj(), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("labels", [False, True])
+def test_to_json_equals_json_dumps(labels):
+    rows = ((None, 1.5, "plain", 1),
+            (float("nan"), float("inf"), 'quote " and \\ backslash', np.int64(-3)),
+            (True, -float("inf"), "non-ASCII \u00e9\u2603\n\t", False),
+            (np.float64(0.1), np.float32(2.5), "", np.bool_(True)),
+            (1e-320, -0.0, "%s {x}", 2 ** 70))
+    names = ("None/NaN", "float", "text%s", "int")
+    row_labels = ("a", "b \u00fc", "c\"", "d", "e") if labels else None
+    for table in (Table("t", names, rows, row_labels=row_labels),
+                  Table("t", names, (), row_labels=() if labels else None),
+                  Table("t\u00e9", (), ((),) * 2, row_labels=row_labels and ("x", "y"))):
+        assert table.to_json() == _json_dumps(table)
+
+
+def test_to_json_falls_back_on_keys_json_merges_or_converts():
+    for table in (Table("t", ("a", "a"), ((1, 2),)),
+                  Table("t", ("label", "a"), ((1, 2),), row_labels=("x",)),
+                  Table("t", ("a",), ((1,),), row_labels=(3,))):
+        assert table.to_json() == _json_dumps(table)

@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 
 import numpy as np
@@ -180,3 +181,37 @@ def test_large_df_tails_stay_close_to_scipy():
             assert _rel(t_sf(x, df), float(special.stdtr(df, -x))) <= 1e-10, (df, x)
         assert _rel(t_quantile(0.975, df), float(special.stdtrit(df, 0.975))) <= 1e-10
         assert _rel(f_sf(2.0, 3.0, df), float(special.fdtrc(3.0, df, 2.0))) <= 1e-10
+
+
+@pytest.mark.parametrize("df", (1e7, 1e9, 1e12, 1e15))
+def test_extreme_df_tails_match_scipy(df):
+    # one beta parameter huge, the other small: the expansion, not the
+    # continued fraction, which lost about df * eps (3e-2 at df 1e15)
+    for x in (0.01, 0.5, 1.96, 2.0, 6.0, 20.0, 37.0):
+        assert _rel(t_sf(x, df), float(special.stdtr(df, -x))) <= 1e-10, x
+        assert _rel(t_sf(-x, df), float(special.stdtr(df, x))) <= 1e-10, x
+    for p in (1e-10, 0.001, 0.025, 0.4, 0.975, 1 - 1e-10):
+        assert _rel(t_quantile(p, df), float(special.stdtrit(df, p))) <= 1e-10, p
+    for df1 in (1.0, 2.0, 3.0, 3.5, 11.0, 99.0, 150.0):
+        for x in (0.01, 0.5, 1.0, 2.0, 3.0, 27.95):
+            want = float(special.fdtrc(df1, df, x))
+            if want > 1e-300:  # subnormal values carry few digits
+                assert _rel(f_sf(x, df1, df), want) <= 1e-10, (df1, x)
+
+
+@pytest.mark.parametrize("df", (1e-8, 1e-4, 1e-3, 0.01, 0.05, 0.1, 0.3, 1.0))
+def test_t_quantile_is_infinite_exactly_when_beyond_the_double_range(df):
+    top = t_sf(sys.float_info.max, df)
+    # the tail at the largest double: w = df / (df + x^2) underflows there,
+    # and I_w(a, 1/2) = w^a / (a B(a, 1/2)) to within a relative O(w)
+    a = 0.5 * df
+    log_w = math.log(df) - 2.0 * math.log(sys.float_info.max)
+    want = 0.5 * math.exp(a * log_w - math.log(a) - float(special.betaln(a, 0.5)))
+    assert _rel(top, want) <= 1e-12 or want < 1e-300
+    for p in (0.6, 0.75, 0.9, 0.975, 0.999):
+        q = t_quantile(p, df)
+        if top > 1.0 - p:
+            assert q == math.inf, p
+        else:
+            assert math.isfinite(q) and _rel(t_sf(q, df), 1.0 - p) <= 1e-12, p
+    assert t_quantile(0.975, 1e-3) == math.inf
