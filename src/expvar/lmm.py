@@ -12,6 +12,13 @@ determinants and its last pivot the penalized residual sum of squares,
 so the marginal covariance is never formed; the dense-covariance formula
 is kept as a test oracle only. Z is never formed either: its blocks of
 that matrix are counts and sums over the random factors' level codes.
+
+A random intercept's own block of Z'Z is diagonal. When the factor with
+the most levels has more of them than the rest of the matrix has rows,
+its block is eliminated in closed form (its pivots are 1 + theta^2 times
+the level counts) and the Cholesky factorization runs on the Schur
+complement of the remaining rows only; otherwise the whole matrix is
+factored.
 """
 
 from __future__ import annotations
@@ -73,7 +80,11 @@ class VarianceComponents:
 
 class _Workspace:
     """The bordered cross-product matrix of (Z, X, y), reused across
-    deviance evaluations."""
+    deviance evaluations.
+
+    ``eliminated`` names the random factor whose diagonal block of Z'Z is
+    eliminated at each evaluation (see ``_factor``), or is None.
+    """
 
     def __init__(self, dm: DesignMatrices, y: np.ndarray):
         y = np.asarray(y, dtype=float)
@@ -121,13 +132,33 @@ class _Workspace:
         M[q:-1, q:-1] = X.T @ X
         M[q:-1, -1] = M[-1, q:-1] = X.T @ r
         M[-1, -1] = r @ r
+        # eliminate the largest factor's block when it outnumbers the other
+        # rows: the factorization work saved then outweighs the fixed cost
+        # of the update's extra array calls, which dominates on small blocks
+        self.eliminated, self.q_e, self._e = None, 0, 0
+        # row k < q of M holds Z column z_order[k]: the eliminated ones first
+        self.z_order = np.arange(q)
+        sizes = [b.stop - b.start for b in blocks]
+        if sizes and 2 * max(sizes) > len(M):
+            self._e = e = sizes.index(max(sizes))
+            self.eliminated, self.q_e = self.factors[e], sizes[e]
+            self.z_order = np.r_[self.z_order[blocks[e]], np.delete(self.z_order, blocks[e])]
+            rows = np.r_[self.z_order, q:len(M)]
+            M = M[np.ix_(rows, rows)]
         self.M = M
+        # views of M: the rows left to factor, and their block against the
+        # eliminated columns
+        self._M_rest, self._M_ke = M[self.q_e:, self.q_e:], M[self.q_e:, :self.q_e]
+        self.n_e = M.diagonal()[:self.q_e].copy()
         self.yty = float(y @ y)
         # column j of Z belongs to random factor col_factor[j]
         self.col_factor = np.zeros(q, dtype=np.intp)
         for i, block in enumerate(blocks):
             self.col_factor[block] = i
-        self._zdiag = np.diag_indices(q)
+        # the Z rows that are factored densely, and their random factors
+        self.q_rest = q - self.q_e
+        self._rest_factor = self.col_factor[self.z_order[self.q_e:]]
+        self._zdiag = np.diag_indices(self.q_rest)
 
     @staticmethod
     def _canonical_order(dm: DesignMatrices, X: np.ndarray,
@@ -146,51 +177,73 @@ class _Workspace:
         return out
 
     def _factor(self, theta: np.ndarray):
-        """Lower Cholesky factor of the scaled bordered matrix at theta.
+        """Lower Cholesky factor of the scaled bordered matrix at theta,
+        less the eliminated rows.
 
-        Returns the factor, the relative sds per Z column and the amount
-        added to the corner. The corner's Schur complement is the PWRSS;
-        when cancellation makes it non-positive the corner is padded so
-        the last pivot stays real, and the pad is subtracted again.
+        The eliminated factor's scaled block is diagonal, 1 + theta_e^2 n_e,
+        so those pivots d are closed-form and the other rows are left with
+        their Schur complement, M_KK - M_KE (theta_e^2 / d) M_KE', before
+        scaling. Returns the factor of the other rows, d (None when nothing
+        is eliminated) and the amount added to the corner. The corner's
+        Schur complement is the PWRSS; when cancellation makes it
+        non-positive the corner is padded so the last pivot stays real, and
+        the pad is subtracted again.
         """
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.n_factors,):
             raise FitError(f"theta has shape {theta.shape}, expected ({self.n_factors},)")
         if (theta < 0).any():
             raise FitError(f"theta must be non-negative, got {theta}")
-        lam = theta[self.col_factor]
-        scale = np.ones(len(self.M))
-        scale[:self.q] = lam
-        A = self.M * scale[:, None] * scale
+        scale = np.ones(len(self._M_rest))
+        scale[:self.q_rest] = theta[self._rest_factor]
+        A, d = self._M_rest, None
+        if self.q_e:
+            t = float(theta[self._e])
+            d = 1.0 + t * t * self.n_e
+            G = self._M_ke * (t / np.sqrt(d))
+            A = A - G @ G.T
+        A = A * scale[:, None] * scale
         A[self._zdiag] += 1.0
         try:
-            return np.linalg.cholesky(A), lam, 0.0
+            return np.linalg.cholesky(A), d, 0.0
         except np.linalg.LinAlgError:
             pad = max(self.yty, 1.0)
             A[-1, -1] += pad
-            return np.linalg.cholesky(A), lam, pad
+            return np.linalg.cholesky(A), d, pad
 
-    def _modes(self, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Spherical modes u and beta-hat - beta0, by back-substitution."""
-        k = self.q + self.p
+    def _modes(self, theta: np.ndarray, L: np.ndarray, d) -> tuple[np.ndarray, np.ndarray]:
+        """Spherical modes u and beta-hat - beta0, by back-substitution:
+        first through the factored rows, then the eliminated ones,
+        u_E = theta_e (M_Er - M_EK (scale * x_K)) / d."""
+        e, k = self.q_e, len(L) - 1
         x = np.linalg.solve(L[:k, :k].T, L[k, :k])
-        return x[:self.q], x[self.q:]
+        u = np.empty(self.q)
+        u[self.z_order[e:]] = x[:self.q_rest]
+        if e:
+            scaled = x.copy()
+            scaled[:self.q_rest] *= theta[self._rest_factor]
+            u[self.z_order[:e]] = theta[self._e] * \
+                (self._M_ke[-1] - scaled @ self._M_ke[:-1]) / d
+        return u, x[self.q_rest:]
 
     def _profiled(self, theta: np.ndarray):
-        """Factor, both log determinants and the PWRSS at theta."""
-        L, lam, pad = self._factor(theta)
-        q = self.q
+        """Factor, eliminated pivots, both log determinants and the PWRSS."""
+        L, d, pad = self._factor(theta)
+        q = self.q_rest
         diag = L.diagonal()
         log_diag = np.log(diag[:-1])
         logdet_lz = 2.0 * float(log_diag[:q].sum())
+        if d is not None:
+            logdet_lz += float(np.log(d).sum())
         logdet_rx = 2.0 * float(log_diag[q:].sum())
         pwrss = float(diag[-1]) ** 2 - pad
         if pwrss < 1e-8 * max(self.yty, 1.0):
             # cancellation eats the value: use explicit residuals
-            u, shift = self._modes(L)
-            resid = self.r - self.X @ shift - self._z_times(lam * u)
+            theta = np.asarray(theta, dtype=float)
+            u, shift = self._modes(theta, L, d)
+            resid = self.r - self.X @ shift - self._z_times(theta[self.col_factor] * u)
             pwrss = float(resid @ resid + u @ u)
-        return L, lam, logdet_lz, logdet_rx, pwrss
+        return L, d, logdet_lz, logdet_rx, pwrss
 
     def solve(self, theta: np.ndarray) -> dict:
         """Penalized least-squares solve at fixed theta.
@@ -200,11 +253,13 @@ class _Workspace:
         determinants of the profiled deviance and the fixed-effect block
         of the factor.
         """
-        L, lam, logdet_lz, logdet_rx, pwrss = self._profiled(theta)
-        u, shift = self._modes(L)
-        q = self.q
-        return dict(beta=self.beta0 + shift, u=u, b=lam * u, pwrss=pwrss,
-                    logdet_lz=logdet_lz, logdet_rx=logdet_rx, rx_factor=L[q:-1, q:-1])
+        theta = np.asarray(theta, dtype=float)
+        L, d, logdet_lz, logdet_rx, pwrss = self._profiled(theta)
+        u, shift = self._modes(theta, L, d)
+        q = self.q_rest
+        return dict(beta=self.beta0 + shift, u=u, b=theta[self.col_factor] * u,
+                    pwrss=pwrss, logdet_lz=logdet_lz, logdet_rx=logdet_rx,
+                    rx_factor=L[q:-1, q:-1])
 
     def deviance(self, theta: np.ndarray, reml: bool = True) -> float:
         """Profiled deviance (-2 log-likelihood) at theta."""
@@ -235,7 +290,7 @@ class _Workspace:
 
     def vcov_beta(self, theta: np.ndarray, sigma2: float) -> np.ndarray:
         L = self._factor(theta)[0]
-        q = self.q
+        q = self.q_rest
         return sigma2 * _inverse_gram(L[q:-1, q:-1])
 
 

@@ -12,7 +12,9 @@ import csv
 import io
 import json
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import cached_property
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -23,6 +25,7 @@ from .lmm import FittedLMM
 
 CSV_SIGNIFICANT_DIGITS = 6
 BOXPLOT_QUANTILES = (0.0, 0.25, 0.5, 0.75, 1.0)
+_FLOAT_FORMAT = f"{{:.{CSV_SIGNIFICANT_DIGITS}g}}".format
 
 
 @dataclass(frozen=True)
@@ -43,17 +46,21 @@ class Table:
         if self.row_labels is not None and len(self.row_labels) != len(self.rows):
             raise ValueError("row_labels length does not match rows")
 
+    @cached_property
     def _grid(self) -> list[list[str]]:
-        """Header and rendered cells, one list per column (row labels first)."""
-        grid = [[name, *map(_cell, (row[j] for row in self.rows))]
-                for j, name in enumerate(self.columns)]
+        """Header and rendered cells, one list per column (row labels first).
+
+        Built once, for both the text and the CSV rendering.
+        """
+        columns = list(zip(*self.rows)) or [()] * len(self.columns)
+        grid = [[name, *_cells(column)] for name, column in zip(self.columns, columns)]
         if self.row_labels is not None:
             grid.insert(0, [self.label_header, *self.row_labels])
         return grid
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(zip(*self._grid()))
+        csv.writer(buf, lineterminator="\n").writerows(zip(*self._grid))
         return buf.getvalue()
 
     def _json_value(self, value):
@@ -91,7 +98,7 @@ class Table:
             return json.dumps(self.to_json_obj(), indent=2) + "\n"
         texts = [_json_texts(self._json_value, column) for column in zip(*self.rows)]
         if self.row_labels is not None:
-            texts.insert(0, list(map(encode_basestring_ascii, self.row_labels)))
+            texts.insert(0, map(encode_basestring_ascii, self.row_labels))
         if keys:
             # one %-template per row, so the keys' own % signs are escaped
             row = ",\n".join(f"      {encode_basestring_ascii(key).replace('%', '%%')}: %s"
@@ -108,7 +115,7 @@ class Table:
     def to_text(self) -> str:
         """Fixed-width rendering for terminal output."""
         padded = []
-        for column in self._grid():
+        for column in self._grid:
             width = max(map(len, column))
             padded.append([cell.rjust(width) for cell in column])
         return "\n".join(map("  ".join, zip(*padded))) + "\n"
@@ -136,20 +143,38 @@ def _json_scalar(value) -> str:
     return float.__repr__(value)
 
 
-def _json_texts(convert, column) -> list[str]:
+def _json_texts(convert, column) -> Iterator[str]:
     """JSON texts of one column's cells, as ``json.dumps(convert(cell))``.
+
+    Columns of one plain type (the bulk of large tables) are mapped
+    through a single formatter; anything else goes cell by cell. The
+    texts are made as they are read, so a table's rows are built without
+    holding every cell's text at once.
+    """
+    kinds = set(map(type, column))
+    if kinds == {float} and all(map(math.isfinite, column)):
+        return map(float.__repr__, column)
+    if kinds == {str}:
+        return map(encode_basestring_ascii, column)
+    if kinds == {int}:
+        return map(int.__repr__, column)
+    return (_json_scalar(convert(value)) for value in column)
+
+
+def _cells(column) -> Iterable[str]:
+    """``_cell`` of each value of one column.
 
     Columns of one plain type (the bulk of large tables) are mapped
     through a single formatter; anything else goes cell by cell.
     """
     kinds = set(map(type, column))
-    if kinds == {float} and all(map(math.isfinite, column)):
-        return list(map(float.__repr__, column))
+    if kinds == {float}:
+        return map(_FLOAT_FORMAT, column)
     if kinds == {str}:
-        return list(map(encode_basestring_ascii, column))
+        return column
     if kinds == {int}:
-        return list(map(int.__repr__, column))
-    return [_json_scalar(convert(value)) for value in column]
+        return map(int.__repr__, column)
+    return map(_cell, column)
 
 
 def _cell(value) -> str:

@@ -10,7 +10,7 @@ import scipy.optimize
 
 import expvar
 from expvar.data import FACTOR_COLUMNS, Dataset, ModelSpec
-from expvar.design import build_design
+from expvar.design import build_design, drop_random_factor_design
 from expvar.inference import ranova
 from expvar.lmm import (DegenerateDataError, FitError, _nelder_mead, _Workspace,
                         aic, fit_lmm, reml_deviance)
@@ -360,9 +360,17 @@ def _solve_cases():
     paper = build_design(paper_ds, ModelSpec())
     zero = build_design(paper_ds, ModelSpec(random_factors=()))
     y_paper = paper_ds.response()
+    # 14 configs outnumber the other 3 + 2 + 2 + 1 rows: hparams, the middle
+    # factor, is eliminated; unbalanced cells, so no sum of modes vanishes
+    # by symmetry
+    wide_ds = _random_labels(1, 150, {"model": 2, "seed": 3, "hparams": 14, "rerun": 2})
+    wide = build_design(wide_ds, ModelSpec(fixed_factor="model",
+                                           random_factors=("seed", "hparams", "rerun")))
+    assert wide.q == 19 and wide.p == 2
     return {"one_factor": (one, one_ds.response()),
             "paper": (paper, y_paper),
-            "zero_factor": (zero, y_paper)}
+            "zero_factor": (zero, y_paper),
+            "crossed_eliminated": (wide, wide_ds.response())}
 
 
 def _close(got, want, rel):
@@ -371,7 +379,8 @@ def _close(got, want, rel):
     return got.shape == want.shape and np.all(np.abs(got - want) <= rel * scale)
 
 
-@pytest.mark.parametrize("case", ["one_factor", "paper", "zero_factor"])
+@pytest.mark.parametrize("case", ["one_factor", "paper", "zero_factor",
+                                  "crossed_eliminated"])
 def test_kernel_matches_scipy_wrapper_oracle(case):
     # the two solves factor the same system in different orders, so they
     # agree to rounding, scaled by max(1, |value|): 1e-12 relative while
@@ -394,29 +403,90 @@ def test_kernel_matches_scipy_wrapper_oracle(case):
         assert _close(ws.vcov_beta(theta, 0.7), oracle.vcov_beta(theta, 0.7), rel), theta
 
 
+def _tree_design(combos, n_seeds, n_configs, n_reruns=3, fixed="model:optimizer"):
+    design = TreeDesign(combos=combos, n_seeds=n_seeds, n_configs=n_configs,
+                        n_reruns=n_reruns, sigma_seed=0.02, sigma_hparam=0.04,
+                        sigma_eps=0.02, rerun_mode="noisy", generator_seed=1)
+    ds = expvar.ensure_factor(generate(design), fixed)
+    return build_design(ds, ModelSpec(fixed_factor=fixed))
+
+
+_COMBOS = (("m-net", "adam", 0.45), ("protonet", "sgd", 0.62),
+           ("tadam", "adam", 0.70), ("maml", "sgd", 0.55))
+
+
+@pytest.mark.parametrize("make, eliminated", [
+    # paper: 5 configs against 4 seeds + 3 fixed + 1 border rows
+    (lambda: _tree_design(_COMBOS[:3], 4, 5), None),
+    # criterion 8 H1 (5 against 7) and H3 (3 seeds tie 3 configs; 3 against 8)
+    (lambda: _tree_design(_COMBOS[:2], 4, 5), None),
+    (lambda: _tree_design(_COMBOS[:2], 3, 3, n_reruns=2,
+                          fixed="model:optimizer:rerun"), None),
+    # one factor: 6 seeds against 1 + 1; ranova's paper-size reduced models:
+    # 5 configs against 3 + 1, 4 seeds tie 3 + 1 and are kept
+    (lambda: build_design(one_way_dataset(), ONE_WAY_SPEC), "seed"),
+    (lambda: drop_random_factor_design(_tree_design(_COMBOS[:3], 4, 5), "seed"),
+     "hparams"),
+    (lambda: drop_random_factor_design(_tree_design(_COMBOS[:3], 4, 5), "hparams"),
+     None),
+    # the large CLI table's shape: 12 configs against 5 seeds + 4 + 1
+    (lambda: _tree_design(_COMBOS, 5, 12, n_reruns=1), "hparams"),
+], ids=["paper", "h1", "h3", "one_way", "paper_minus_seed", "paper_minus_hparams",
+        "cli_large_shape"])
+def test_largest_factor_eliminated_when_it_outnumbers_the_other_rows(make, eliminated):
+    dm = make()
+    ws = _Workspace(dm, np.linspace(0.0, 1.0, dm.n) ** 2)
+    assert ws.eliminated == eliminated
+    q_e = dm.z_blocks[eliminated].stop - dm.z_blocks[eliminated].start if eliminated else 0
+    assert ws.q_e == q_e and ws.M.shape == (dm.q + dm.p + 1,) * 2
+    # the eliminated factor's columns lead M, the others keep their order
+    if eliminated:
+        assert np.array_equal(ws.z_order[:q_e], np.arange(dm.q)[dm.z_blocks[eliminated]])
+    assert np.array_equal(np.sort(ws.z_order), np.arange(dm.q))
+    assert np.all(np.diff(ws.z_order[q_e:]) > 0)
+
+
+def test_paper_size_deviance_is_pinned_bit_for_bit():
+    # no factor is eliminated at paper size: the first fit a fresh process
+    # makes there keeps its arithmetic to the last bit
+    dm, y = _solve_cases()["paper"]
+    ws = _Workspace(dm, y)
+    assert ws.eliminated is None
+    assert repr(ws.deviance(np.array([0.3, 1.0]))) == "-846.2719550183378"
+    assert repr(ws.deviance(np.array([0.0, 2.5]))) == "-822.5777217474906"
+    assert repr(ws.deviance(np.array([0.27, 0.05]))) == "-634.2449499185925"
+
+
 def test_kernel_pads_a_corner_lost_to_cancellation():
     # when rounding leaves the corner's Schur complement non-positive, the
     # corner is padded so the factorization completes, and the PWRSS then
-    # comes from explicit residuals; forced here by spoiling the corner
-    dm, y = _solve_cases()["paper"]
-    ws = _Workspace(dm, y)
-    theta = np.array([0.3, 1.0])
-    want = ws.solve(theta)
-    ws.M[-1, -1] = -1.0
-    L, _, pad = ws._factor(theta)
-    assert pad == max(ws.yty, 1.0) and np.isfinite(L).all()
-    got = ws.solve(theta)
-    assert got["pwrss"] == pytest.approx(want["pwrss"], rel=1e-12)
-    assert np.allclose(got["beta"], want["beta"], rtol=1e-12, atol=0.0)
+    # comes from explicit residuals; forced here by spoiling the corner,
+    # which the kernel reads from M at each evaluation, on both sides of
+    # the elimination rule
+    for case, eliminated in (("paper", None), ("crossed_eliminated", "hparams")):
+        dm, y = _solve_cases()[case]
+        ws = _Workspace(dm, y)
+        assert ws.eliminated == eliminated
+        theta = np.linspace(0.3, 1.0, ws.n_factors)
+        want = ws.solve(theta)
+        ws.M[-1, -1] = -1.0
+        L, _, pad = ws._factor(theta)
+        assert pad == max(ws.yty, 1.0) and np.isfinite(L).all()
+        got = ws.solve(theta)
+        assert got["pwrss"] == pytest.approx(want["pwrss"], rel=1e-12)
+        assert np.allclose(got["beta"], want["beta"], rtol=1e-12, atol=0.0)
 
 
 def test_exact_fit_has_zero_pwrss_at_theta_zero():
-    ds = crossed_dataset(generator_seed=3)
-    dm = build_design(ds, ModelSpec())
-    ws = _Workspace(dm, dm.X @ np.array([0.5, 0.1]))
-    assert ws.solve(np.zeros(2))["pwrss"] < 1e-25
-    assert np.allclose(ws.vcov_beta(np.zeros(2), 1.0), np.linalg.inv(dm.X.T @ dm.X),
-                       rtol=1e-12, atol=0.0)
+    # on both sides of the elimination rule: 12 configs outnumber 3 + 2 + 1
+    for shape, eliminated in (({}, None), ({"n_seeds": 3, "n_configs": 12}, "hparams")):
+        ds = crossed_dataset(generator_seed=3, **shape)
+        dm = build_design(ds, ModelSpec())
+        ws = _Workspace(dm, dm.X @ np.array([0.5, 0.1]))
+        assert ws.eliminated == eliminated
+        assert ws.solve(np.zeros(2))["pwrss"] < 1e-25
+        assert np.allclose(ws.vcov_beta(np.zeros(2), 1.0), np.linalg.inv(dm.X.T @ dm.X),
+                           rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
