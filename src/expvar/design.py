@@ -13,6 +13,8 @@ bit-identical matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -23,25 +25,31 @@ class DesignError(ValueError):
     """Raised when a design matrix cannot be built as requested."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DesignMatrices:
     """Model matrices plus the label bookkeeping needed for reports.
 
     ``z_blocks`` maps each random factor to its contiguous column range in
     Z; ``z_codes`` holds each factor's level code per row, an index into
     its block, and ``z_level_names`` the level labels in column order
-    within each block.
+    within each block. The three mappings are read-only views. A design
+    compares and hashes by identity, which is what ``fit_lmm`` keys its
+    stored fits on.
     """
 
     X: np.ndarray
-    z_codes: dict[str, np.ndarray]
+    z_codes: Mapping[str, np.ndarray]
     column_map: tuple[str, ...]
-    z_blocks: dict[str, slice]
-    z_level_names: dict[str, tuple[str, ...]]
+    z_blocks: Mapping[str, slice]
+    z_level_names: Mapping[str, tuple[str, ...]]
     fixed_factor: str
     fixed_levels: tuple[str, ...]
     coding: str
     include_intercept: bool
+
+    def __post_init__(self):
+        for name in ("z_codes", "z_blocks", "z_level_names"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
 
     @property
     def n(self) -> int:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,6 +57,10 @@ class FitOptions:
     tol: float = 1e-8
     max_evals_per_dim: int = 500
     multistart: tuple[float, ...] = (0.1, 1.0, 10.0)
+
+    def __post_init__(self):
+        # a tuple keeps the options hashable: fits are memoized on them
+        object.__setattr__(self, "multistart", tuple(self.multistart))
 
 
 @dataclass(frozen=True)
@@ -308,7 +313,9 @@ class FittedLMM:
     ``criterion``; ``npar`` counts fixed effects plus variance parameters.
     The private workspace handle supports evaluating the deviance and the
     beta covariance at off-estimate variance parameters, which downstream
-    degrees-of-freedom corrections need.
+    degrees-of-freedom corrections need. The arrays are read-only, since
+    ``fit_lmm`` hands the same fit to every caller on the same design and
+    response.
     """
 
     beta: np.ndarray
@@ -374,13 +381,37 @@ def aic(npar: int, loglik: float) -> float:
     return 2.0 * npar - 2.0 * loglik
 
 
+#: Per design: the workspace of the response it was last used with, that
+#: response's bytes, and the fits made on it by criterion and options. A
+#: weak key, so an entry dies with its design; nothing stored refers to
+#: the design.
+_MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _shared_workspace(dm: DesignMatrices, y: np.ndarray) -> tuple[_Workspace, dict]:
+    """The workspace of (dm, y) and the fits made on it so far.
+
+    A design keeps one response: another response replaces the entry. A
+    design that cannot be a weak dictionary key gets a fresh workspace.
+    """
+    key = (y.shape, y.tobytes())
+    try:
+        entry = _MEMO.get(dm)
+    except TypeError:
+        return _Workspace(dm, y), {}
+    if entry is None or entry[0] != key:
+        entry = _MEMO[dm] = (key, _Workspace(dm, y), {})
+    return entry[1], entry[2]
+
+
 def reml_deviance(dm: DesignMatrices, y: np.ndarray, theta) -> float:
     """Restricted deviance profiled over beta and the residual variance.
 
     theta holds one relative standard deviation per random factor, in
-    ``dm.z_blocks`` order. Raises on a non-finite result.
+    ``dm.z_blocks`` order. Raises on a non-finite result. Calls on the
+    same design and response share one workspace with ``fit_lmm``.
     """
-    ws = _Workspace(dm, y)
+    ws = _shared_workspace(dm, np.asarray(y, dtype=float))[0]
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     dev = ws.deviance(theta, reml=True)
     if not math.isfinite(dev):
@@ -627,17 +658,25 @@ def fit_lmm(dm: DesignMatrices, y: np.ndarray, criterion: str = "REML",
     estimates theta_q = 0 are legitimate results, not failures. If the
     evaluation budget is exhausted the best point so far is returned with
     ``converged=False``.
+
+    Fitting the same design object to a bit-identical response under the
+    same criterion and options again returns the same fit object, whose
+    arrays are read-only: a fit is deterministic, so a refit would give
+    the same numbers. ``ranova`` after ``fit_lmm`` on the same design and
+    response therefore pays only for its reduced fits. Refusals are not
+    stored and are raised again on every call.
     """
     opts = opts or FitOptions()
     criterion = criterion.upper()
     if criterion not in ("REML", "ML"):
         raise FitError(f"unknown criterion {criterion!r}")
-    y = np.asarray(y, dtype=float)
-    ws = _Workspace(dm, y)
+    ws, fits = _shared_workspace(dm, np.asarray(y, dtype=float))
+    if (criterion, opts) in fits:
+        return fits[criterion, opts]
     if ws.n <= ws.p:
         raise FitError(f"need more observations than fixed effects "
                        f"(n={ws.n}, p={ws.p})")
-    if np.ptp(y) == 0.0:
+    if np.ptp(ws.y) == 0.0:
         raise DegenerateDataError("response is constant; no variance to decompose")
     # scale-free test, as matrix_rank's default tolerance: a response in the
     # column span of X leaves no residual whose variance could be split
@@ -691,9 +730,12 @@ def fit_lmm(dm: DesignMatrices, y: np.ndarray, criterion: str = "REML",
     )
     vcov = sigma2_eps * _inverse_gram(sol["rx_factor"])
     vcov = 0.5 * (vcov + vcov.T)
-    return FittedLMM(
+    for array in (sol["beta"], sol["b"], vcov):
+        array.setflags(write=False)
+    fits[criterion, opts] = fit = FittedLMM(
         beta=sol["beta"], vc=vc, blups=sol["b"], loglik=-0.5 * dev,
         criterion=criterion, vcov_beta=vcov, npar=ws.p + n_factors + 1,
         converged=converged, deviance_profile_evals=evals,
         column_map=dm.column_map, _ws=ws)
+    return fit
 

@@ -6,10 +6,11 @@ incomplete beta functions, evaluated by Lentz's continued fraction
 x^a (1-x)^b / B(a, b) is assembled from Stirling-series corrections when
 a parameter is large, so that no large log-gamma values cancel
 (DiDonato & Morris 1992, ACM TOMS 18:360). When one beta parameter is
-large and the other small, the fraction loses about (large parameter) x
-eps to rounding near x = 1, so there the tail is summed from DiDonato and
-Morris's asymptotic expansion in incomplete gamma functions (BGRAT,
-their eq. 9) instead. The chi-square tail is the
+large, the fraction loses about (large parameter) x eps to rounding near
+x = 1, so there the other parameter is lowered into (0, 1] by a sum of
+positive terms and the rest is summed from DiDonato and Morris's
+asymptotic expansion in incomplete gamma functions (BGRAT, their eq. 9)
+instead. The chi-square tail is the
 regularized upper incomplete gamma function, erfc for one degree of
 freedom and a series or continued fraction otherwise. The t quantile
 takes Newton steps from Hill's approximation (1970, CACM Alg. 396).
@@ -35,9 +36,10 @@ _MAX_TERMS = 100_000
 _STIRLING_FROM = 10.0
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 #: I_x(a, b) with a at least this and b at most _EXPANSION_MAX_B is summed
-#: by the asymptotic expansion rather than the continued fraction.
+#: by the asymptotic expansion rather than the continued fraction. Lowering
+#: b takes one term per unit of b, about 2 us each, which the cap bounds.
 _EXPANSION_FROM = 1000.0
-_EXPANSION_MAX_B = 100.0
+_EXPANSION_MAX_B = 5000.0
 _EXPANSION_TERMS = 30
 
 
@@ -71,11 +73,14 @@ def _log_beta_power(a: float, b: float, x: float, y: float) -> float:
     if small >= _STIRLING_FROM:
         # a log(x (a+b) / a) + b log(y (a+b) / b): both through the one
         # difference d = x (a+b) - a, whose rounding then cancels near
-        # the mode, where the two terms nearly cancel each other
+        # the mode, where the two terms nearly cancel each other. log x and
+        # log y are taken directly only where log1p's argument is below
+        # -1/2, so that 1 + d / a is small and would carry d's rounding;
+        # elsewhere log y + log(c / b) can cancel to a small difference
         c = a + b
         d = x * b - y * a
-        ta = a * math.log1p(d / a) if abs(d) <= 0.5 * a else a * (log_x + math.log(c / a))
-        tb = b * math.log1p(-d / b) if abs(d) <= 0.5 * b else b * (log_y + math.log(c / b))
+        ta = a * math.log1p(d / a) if d >= -0.5 * a else a * (log_x + math.log(c / a))
+        tb = b * math.log1p(-d / b) if d <= 0.5 * b else b * (log_y + math.log(c / b))
         return (ta + tb + 0.5 * math.log(a * b / c) - _HALF_LOG_2PI
                 - _stirling_correction(a) - _stirling_correction(b)
                 + _stirling_correction(c))

@@ -104,6 +104,22 @@ def test_drop_random_factor_design():
     assert np.array_equal(reduced.Z, dm.Z[:, dm.z_blocks["hparams"]])
 
 
+def test_design_mappings_are_read_only_and_designs_hash_by_identity():
+    ds = crossed_dataset(generator_seed=4)
+    dm = build_design(ds, ModelSpec())
+    with pytest.raises(TypeError):
+        dm.z_codes["seed"] = np.zeros(dm.n, dtype=np.intp)
+    with pytest.raises(TypeError):
+        dm.z_blocks["seed"] = slice(0, 1)
+    with pytest.raises(TypeError):
+        dm.z_level_names["extra"] = ("a", "b")
+    reduced = drop_random_factor_design(dm, "seed")
+    with pytest.raises(TypeError):
+        reduced.z_codes["seed"] = dm.z_codes["seed"]
+    twin = build_design(ds, ModelSpec())
+    assert dm == dm and dm != twin and len({dm, twin, dm}) == 2
+
+
 def test_drop_random_factor_design_keeps_codes_and_reoffsets_blocks():
     ds = crossed_dataset(generator_seed=4)
     dm = build_design(ds, ModelSpec(random_factors=("seed", "hparams", "rerun")))

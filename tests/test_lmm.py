@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import itertools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -9,11 +11,12 @@ import scipy.linalg
 import scipy.optimize
 
 import expvar
+from expvar import lmm
 from expvar.data import FACTOR_COLUMNS, Dataset, ModelSpec
 from expvar.design import build_design, drop_random_factor_design
 from expvar.inference import ranova
-from expvar.lmm import (DegenerateDataError, FitError, _nelder_mead, _Workspace,
-                        aic, fit_lmm, reml_deviance)
+from expvar.lmm import (DegenerateDataError, FitError, FitOptions, _nelder_mead,
+                        _Workspace, aic, fit_lmm, reml_deviance)
 from expvar.simulate import TreeDesign, generate
 
 from conftest import (ONE_WAY_SPEC, crossed_dataset, dataset_from_rows,
@@ -566,6 +569,134 @@ def test_fit_and_ranova_allocate_no_dense_indicator_matrix():
         tracemalloc.stop()
     assert fit.converged and result.converged
     assert peak < dense_bytes / 4, peak
+
+
+# ---------------------------------------------------------------------------
+# One workspace and one fit per design and response
+# ---------------------------------------------------------------------------
+
+
+def _count_workspaces(monkeypatch) -> list:
+    """Patch _Workspace.__init__ to append 1 to the returned list per build."""
+    built = []
+    init = _Workspace.__init__
+
+    def counted(self, dm, y):
+        built.append(1)
+        init(self, dm, y)
+
+    monkeypatch.setattr(_Workspace, "__init__", counted)
+    return built
+
+
+def _crossed_design():
+    ds = crossed_dataset(n_seeds=5, n_configs=3, n_reruns=2, generator_seed=23)
+    return ds, build_design(ds, ModelSpec())
+
+
+def test_reml_deviance_reuses_the_fits_workspace(fixture_b, monkeypatch):
+    dm, y = fixture_b
+    built = _count_workspaces(monkeypatch)
+    fit = fit_lmm(dm, y)
+    for theta in ([0.5, 1.0], [0.0, 2.0], [3.0, 0.0]):
+        reml_deviance(dm, y.copy(), theta)
+    assert reml_deviance(dm, y, fit.theta) == fit.deviance
+    assert len(built) == 1
+
+
+def test_refit_on_equal_bytes_returns_the_same_fit(fixture_b):
+    dm, y = fixture_b
+    fit = fit_lmm(dm, y)
+    assert fit_lmm(dm, np.array(y)) is fit
+    assert fit_lmm(dm, list(y), criterion="reml", opts=FitOptions()) is fit
+
+
+def test_new_response_gets_a_new_fit_and_replaces_the_entry(fixture_b, monkeypatch):
+    dm, y = fixture_b
+    fit = fit_lmm(dm, y)
+    other = y.copy()
+    other[7] += 0.01
+    refit = fit_lmm(dm, other)
+    assert refit is not fit and refit.loglik != fit.loglik
+    assert fit_lmm(dm, other) is refit
+    # the first response's entry is gone: it is fitted again, to the same numbers
+    built = _count_workspaces(monkeypatch)
+    again = fit_lmm(dm, y)
+    assert len(built) == 1 and again is not fit
+    assert again.loglik == fit.loglik and again.vc == fit.vc
+    assert np.array_equal(again.beta, fit.beta) and np.array_equal(again.blups, fit.blups)
+
+
+def test_criteria_and_options_are_separate_entries(fixture_b):
+    dm, y = fixture_b
+    reml, ml = fit_lmm(dm, y), fit_lmm(dm, y, criterion="ML")
+    loose = fit_lmm(dm, y, opts=FitOptions(tol=1e-6))
+    assert ml is not reml and ml.criterion == "ML" and ml.loglik != reml.loglik
+    assert loose is not reml and loose is not ml
+    assert fit_lmm(dm, y, criterion="ml") is ml
+    assert fit_lmm(dm, y, opts=FitOptions(tol=1e-6)) is loose
+    assert fit_lmm(dm, y, opts=FitOptions(multistart=[0.1, 1.0, 10.0])) is reml
+
+
+def test_reduced_design_gets_its_own_empty_entry(fixture_b):
+    dm, y = fixture_b
+    fit = fit_lmm(dm, y)
+    reduced = drop_random_factor_design(dm, "seed")
+    assert reduced not in lmm._MEMO
+    reduced_fit = fit_lmm(reduced, y)
+    assert reduced_fit.vc.names == ("hparams",) and reduced_fit._ws is not fit._ws
+    assert fit_lmm(dm, y) is fit
+
+
+def test_memo_entry_dies_with_its_design():
+    ds, dm = _crossed_design()
+    fit = fit_lmm(dm, ds.response())
+    alive = weakref.ref(dm)
+    assert dm in lmm._MEMO
+    entries = len(lmm._MEMO)
+    del dm
+    gc.collect()
+    assert alive() is None and len(lmm._MEMO) == entries - 1
+    # the fit keeps working without its design
+    assert fit.deviance_at_omega(fit.omega_hat) == pytest.approx(fit.deviance, abs=1e-9)
+
+
+def test_refusals_are_raised_on_every_call(fixture_b):
+    dm, _ = fixture_b
+    constant = np.full(dm.n, 0.5)
+    for _ in range(2):
+        with pytest.raises(DegenerateDataError, match="constant"):
+            fit_lmm(dm, constant)
+
+
+def test_design_that_cannot_be_a_weak_key_is_fitted_afresh():
+    class Unhashable(_BareDesign):
+        __hash__ = None
+
+    dm = Unhashable(np.column_stack([np.ones(5), np.arange(5.0)]))
+    y = np.array([1.0, 2.5, 2.0, 4.5, 5.0])
+    first, second = fit_lmm(dm, y), fit_lmm(dm, y)
+    assert first is not second and np.array_equal(first.beta, second.beta)
+
+
+def test_ranova_after_fit_builds_only_the_reduced_workspaces(monkeypatch):
+    ds, dm = _crossed_design()
+    spec, y = ModelSpec(), ds.response()
+    fit_lmm(dm, y)
+    built = _count_workspaces(monkeypatch)
+    result = ranova(dm, y, spec)
+    assert len(built) == len(dm.random_factors)
+    assert repr(result) == repr(ranova(build_design(ds, spec), y, spec))
+    assert len(built) == 2 * len(dm.random_factors) + 1
+
+
+def test_shared_fit_arrays_are_read_only(fixture_b):
+    dm, y = fixture_b
+    fit = fit_lmm(dm, y)
+    for array in (fit.beta, fit.blups, fit.vcov_beta):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    assert fit_lmm(dm, y).beta[0] == fit.beta[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
+import decimal
 import math
 import sys
 import time
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -215,3 +217,36 @@ def test_t_quantile_is_infinite_exactly_when_beyond_the_double_range(df):
         else:
             assert math.isfinite(q) and _rel(t_sf(q, df), 1.0 - p) <= 1e-12, p
     assert t_quantile(0.975, 1e-3) == math.inf
+
+
+def _f_sf_exact(x, df1, df2):
+    """P(F_{df1, df2} > x) for even df1, to 40 digits: the tail is I_w(a, n)
+    with a = df2 / 2, n = df1 / 2 and w = df2 / (df2 + df1 x), and for whole n
+    that is the finite sum w^a sum_{j < n} (a)_j / j! (1 - w)^j."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        a, X = Decimal(df2) / 2, Decimal(x)
+        w = Decimal(df2) / (Decimal(df2) + Decimal(df1) * X)
+        y = Decimal(df1) * X / (Decimal(df2) + Decimal(df1) * X)
+        term = total = Decimal(1)
+        for j in range(1, int(df1) // 2):
+            term *= (a + j - 1) / j * y
+            total += term
+        return float(w ** a * total)
+
+
+@pytest.mark.parametrize("df1", (150, 200, 400, 1000, 5000))
+def test_f_sf_with_both_df_large_matches_exact_sum(df1):
+    # the continued fraction lost about df2 * 1e-17 here (4.2e-10 at
+    # f_sf(1.1, 400, 1e8)); a tail exp(-E) carries at least E * eps of
+    # rounding from its exponent alone, which sets the bound deep in the tail
+    for df2 in (1e3, 1e4, 1e5, 1e6, 1e7, 1e8):
+        for x in (0.8, 0.9, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6):
+            want = _f_sf_exact(x, df1, df2)
+            tol = max(1e-13, 10 * sys.float_info.epsilon * -math.log(want))
+            assert _rel(f_sf(x, df1, df2), want) <= tol, (df2, x)
+
+
+def test_f_sf_both_df_large_matches_scipy():
+    for x, df1, df2 in ((1.1, 400, 1e8), (1.1, 1000, 1e8), (1.1, 150, 1e7), (0.9, 5000, 1e6)):
+        assert _rel(f_sf(x, df1, df2), float(special.fdtrc(df1, df2, x))) <= 1e-13, (x, df1, df2)
