@@ -12,8 +12,8 @@ from .data import (Dataset, ModelSpec, DataError, SchemaError,
                    load_csv, write_csv)
 from .design import (DesignError, DesignMatrices, build_design, contrast_rows,
                      difference_rows, omnibus_rows)
-from .lmm import (DegenerateDataError, FitError, FitOptions, FittedLMM,
-                  VarianceComponents, aic, fit_lmm, reml_deviance)
+from .lmm import (DegenerateDataError, FitError, FittedLMM, VarianceComponents,
+                  aic, fit_lmm, reml_deviance)
 from .inference import (AnovaRow, ContrastRow, InferenceError, LRTRow,
                         RanovaResult, anova_fixed, contrasts, ranova,
                         satterthwaite_df)
@@ -29,7 +29,7 @@ __all__ = [
     "write_csv",
     "DesignError", "DesignMatrices", "build_design", "contrast_rows",
     "difference_rows", "omnibus_rows",
-    "DegenerateDataError", "FitError", "FitOptions", "FittedLMM",
+    "DegenerateDataError", "FitError", "FittedLMM",
     "VarianceComponents", "aic", "fit_lmm", "reml_deviance",
     "AnovaRow", "ContrastRow", "InferenceError", "LRTRow", "RanovaResult",
     "anova_fixed", "contrasts", "ranova", "satterthwaite_df",

@@ -24,7 +24,7 @@ from pathlib import Path
 from .data import DataError, ModelSpec, ensure_factor, load_csv, write_csv
 from .design import DesignError, build_design, contrast_rows, omnibus_rows
 from .inference import InferenceError, anova_fixed, contrasts, ranova
-from .lmm import FitError, FitOptions, fit_lmm
+from .lmm import FitError, fit_lmm
 from .report import (Table, anova_table, boxplot_table, contrast_table,
                      fit_summary, fixed_effects_table, ranova_table,
                      variance_table)
@@ -40,64 +40,109 @@ class ConfigError(DataError):
     """Invalid analysis configuration (maps to the I/O exit code)."""
 
 
+def _typed(kind: type, what: str):
+    def convert(value):
+        if not isinstance(value, kind):
+            raise TypeError(f"expected {what}, got {value!r}")
+        return value
+    return convert
+
+
+_text, _boolean = _typed(str, "a string"), _typed(bool, "true or false")
+
+
+def _number(kind: type, what: str, ok=lambda value: True):
+    """Converter to an int or float ``kind`` for which ``ok`` holds."""
+    def convert(value):
+        try:
+            number = kind(value) if isinstance(value, str) else value
+        except ValueError:
+            number = None
+        if isinstance(number, bool) or not isinstance(number, (int, kind)) or not ok(number):
+            raise ValueError(f"expected {what}, got {value!r}")
+        return kind(number)
+    return convert
+
+
+def _one_of(*choices: str, fold=str):
+    """Converter to one of ``choices``, after ``fold`` of the text."""
+    def convert(value) -> str:
+        text = fold(_text(value))
+        if text not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}, got {value!r}")
+        return text
+    return convert
+
+
+def _names(*choices: str):
+    """Converter of a comma list in a string, or a JSON list of strings, to
+    a tuple of names, each one of ``choices`` when there are any."""
+    def convert(value) -> tuple[str, ...]:
+        if isinstance(value, str):
+            names = tuple(s.strip() for s in value.split(",") if s.strip())
+        else:
+            names = tuple(_text(item) for item in _typed(list, "a list")(value))
+        bad = set(names) - set(choices or names)
+        if bad:
+            raise ValueError(f"expected names among {', '.join(choices)}, "
+                             f"got {sorted(bad)}")
+        return names
+    return convert
+
+
+def _column_renames(value) -> dict[str, str]:
+    """``role=column`` pairs in a comma list, or a JSON object of them."""
+    if isinstance(value, dict):
+        return {_text(role): _text(column) for role, column in value.items()}
+    renames = {}
+    for pair in _names()(_text(value)):
+        role, sep, column = pair.partition("=")
+        if not sep:
+            raise ValueError(f"entry {pair!r} is not of the form role=column")
+        renames[role] = column
+    return renames
+
+
+def _setting(convert, default=None):
+    return field(default=default, metadata={"convert": convert})
+
+
 @dataclass
 class AnalysisConfig:
-    """Fully resolved settings of one CLI invocation."""
+    """Fully resolved settings of one CLI invocation.
+
+    Each field but ``command`` is a setting. A flag gives it as text and a
+    config file as a JSON value; both pass through the field's converter,
+    which returns the typed value or raises ValueError or TypeError.
+    """
 
     command: str
-    input: str | None = None
-    output_dir: str | None = None
-    formats: tuple[str, ...] = ("csv", "json")
-    seed: int | None = None
-    criterion: str = "REML"
-    tol: float = FitOptions.tol
-    max_evals: int = FitOptions.max_evals_per_dim
-    multistart: tuple[float, ...] = FitOptions.multistart
-    boundary_correction: bool = False
-    confidence: float = 0.95
-    response: str = ModelSpec.response
-    fixed_factor: str = ModelSpec.fixed_factor
-    random_factors: tuple[str, ...] = ModelSpec.random_factors
-    coding: str = ModelSpec.contrast_coding
-    intercept: bool = ModelSpec.include_intercept
-    columns: dict = field(default_factory=dict)
-    levels: tuple[str, ...] | None = None
-    kind: str = "vs_grand"
-    design: str | None = None
-    space: str | None = None
-    n: int = 10
+    input: str | None = _setting(_text)
+    output_dir: str | None = _setting(_text)
+    formats: tuple[str, ...] = _setting(_names("csv", "json"), ("csv", "json"))
+    seed: int | None = _setting(_number(int, "an integer"))
+    criterion: str = _setting(_one_of("REML", "ML", fold=str.upper), "REML")
+    boundary_correction: bool = _setting(_boolean, False)
+    confidence: float = _setting(
+        _number(float, "a number in (0, 1)", lambda value: 0.0 < value < 1.0), 0.95)
+    response: str = _setting(_text, ModelSpec.response)
+    fixed_factor: str = _setting(_text, ModelSpec.fixed_factor)
+    random_factors: tuple[str, ...] = _setting(_names(), ModelSpec.random_factors)
+    coding: str = _setting(_one_of("treatment", "sum_to_zero"),
+                           ModelSpec.contrast_coding)
+    intercept: bool = _setting(_boolean, ModelSpec.include_intercept)
+    columns: dict | None = _setting(_column_renames)
+    levels: tuple[str, ...] | None = _setting(_names())
+    kind: str = _setting(_one_of("vs_grand", "vs_reference"), "vs_grand")
+    design: str | None = _setting(_text)
+    space: str | None = _setting(_text)
+    n: int = _setting(_number(int, "an integer"), 10)
 
     def model_spec(self) -> ModelSpec:
         return ModelSpec(response=self.response, fixed_factor=self.fixed_factor,
                          random_factors=tuple(self.random_factors),
                          contrast_coding=self.coding,
                          include_intercept=self.intercept)
-
-    def fit_options(self) -> FitOptions:
-        return FitOptions(tol=self.tol, max_evals_per_dim=self.max_evals,
-                          multistart=tuple(self.multistart))
-
-    def validate(self):
-        if not 0.0 < self.confidence < 1.0:
-            raise ConfigError(f"confidence must be in (0, 1), got {self.confidence}")
-        bad = set(self.formats) - {"csv", "json"}
-        if bad:
-            raise ConfigError(f"unknown output formats: {sorted(bad)}")
-
-
-def _csv_list(text: str) -> tuple[str, ...]:
-    return tuple(s.strip() for s in text.split(",") if s.strip())
-
-
-def _column_renames(text: str) -> dict[str, str]:
-    """Parse ``role=column`` pairs of the --columns flag."""
-    renames = {}
-    for pair in _csv_list(text):
-        role, sep, column = pair.partition("=")
-        if not sep:
-            raise ConfigError(f"--columns entry {pair!r} is not of the form role=column")
-        renames[role] = column
-    return renames
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -111,27 +156,24 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON config file; overrides flags")
     common.add_argument("--input", help="input CSV of experiment results")
     common.add_argument("--output-dir", help="directory for report files")
-    common.add_argument("--format", help="comma list of output formats (csv,json)")
-    common.add_argument("--seed", type=int, help="generator seed")
-    common.add_argument("--criterion", choices=["reml", "ml"],
-                        help="estimation criterion (default reml)")
-    common.add_argument("--tol", type=float, help="deviance convergence tolerance")
-    common.add_argument("--max-evals", type=int,
-                        help="deviance evaluation budget per theta dimension")
-    common.add_argument("--multistart", help="comma list of theta starting values")
+    common.add_argument("--format", dest="formats", metavar="FORMAT",
+                        help="comma list of output formats (csv,json)")
+    common.add_argument("--seed", help="generator seed")
+    common.add_argument("--criterion", help="estimation criterion, reml or ml "
+                                            "(default reml)")
     common.add_argument("--boundary-correction", action="store_true", default=None,
                         help="halve LRT p-values for the boundary null")
-    common.add_argument("--confidence", type=float,
+    common.add_argument("--confidence",
                         help="confidence level for intervals (default 0.95)")
     common.add_argument("--response", help="response column name (default accuracy)")
     common.add_argument("--fixed-factor",
                         help="fixed factor, may be composite like model:optimizer")
     common.add_argument("--random-factors",
                         help="comma list of grouping factors (default seed,hparams)")
-    common.add_argument("--coding", choices=["treatment", "sum_to_zero"],
-                        help="fixed-factor contrast coding")
-    common.add_argument("--no-intercept", action="store_true", default=None,
-                        help="drop the intercept column")
+    common.add_argument("--coding", help="fixed-factor contrast coding, "
+                                         "treatment or sum_to_zero")
+    common.add_argument("--no-intercept", dest="intercept", action="store_false",
+                        default=None, help="drop the intercept column")
     common.add_argument("--columns",
                         help="role=column renames, e.g. model=arch,seed=rng")
 
@@ -145,15 +187,15 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="means comparisons with confidence intervals")
     pc.add_argument("--levels", help="comma list of fixed-factor levels "
                                      "(default: all levels)")
-    pc.add_argument("--kind", choices=["vs_grand", "vs_reference"],
-                    help="comparison baseline (default vs_grand)")
+    pc.add_argument("--kind", help="comparison baseline, vs_grand or "
+                                   "vs_reference (default vs_grand)")
     ps = sub.add_parser("simulate", parents=[common],
                         help="generate a synthetic experiment tree")
     ps.add_argument("--design", help="JSON file with the tree design")
     ph = sub.add_parser("sample-hparams", parents=[common],
                         help="draw hyper-parameter configurations")
     ph.add_argument("--space", help="JSON file with the search space")
-    ph.add_argument("--n", type=int, help="number of configurations")
+    ph.add_argument("--n", help="number of configurations")
     sub.add_parser("boxplot-data", parents=[common],
                    help="five-number summaries per experiment group")
     return parser
@@ -171,48 +213,26 @@ def _read_json(path: Path, kind: str):
 
 def _resolve_config(args: argparse.Namespace) -> AnalysisConfig:
     config = AnalysisConfig(command=args.command)
-    flags = {
-        "input": args.input,
-        "output_dir": args.output_dir,
-        "formats": _csv_list(args.format) if args.format else None,
-        "seed": args.seed,
-        "criterion": args.criterion.upper() if args.criterion else None,
-        "tol": args.tol,
-        "max_evals": args.max_evals,
-        "multistart": (tuple(float(x) for x in _csv_list(args.multistart))
-                       if args.multistart else None),
-        "boundary_correction": args.boundary_correction,
-        "confidence": args.confidence,
-        "response": args.response,
-        "fixed_factor": args.fixed_factor,
-        "random_factors": (_csv_list(args.random_factors)
-                           if args.random_factors else None),
-        "coding": args.coding,
-        "intercept": False if args.no_intercept else None,
-        "columns": _column_renames(args.columns) if args.columns else None,
-        "levels": _csv_list(args.levels) if getattr(args, "levels", None) else None,
-        "kind": getattr(args, "kind", None),
-        "design": getattr(args, "design", None),
-        "space": getattr(args, "space", None),
-        "n": getattr(args, "n", None),
-    }
-    for key, value in flags.items():
-        if value is not None:
-            setattr(config, key, value)
+    settings = {f.name: f.metadata["convert"] for f in dataclasses.fields(config)
+                if f.metadata}
+    # flags, then config-file entries, which take precedence
+    given = [(key, getattr(args, key, None), key) for key in settings]
     if args.config:
         path = Path(args.config)
         overrides = _read_json(path, "config")
         if not isinstance(overrides, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
-        renames = {"format": "formats"}
-        for key, value in overrides.items():
-            key = renames.get(key, key)
-            if not hasattr(config, key) or key == "command":
-                raise ConfigError(f"unknown config key {key!r}")
-            if key in ("formats", "random_factors", "multistart", "levels"):
-                value = tuple(value)
-            setattr(config, key, value)
-    config.validate()
+        given += [("formats" if key == "format" else key, value, f"config key {key!r}")
+                  for key, value in overrides.items()]
+    for key, value, source in given:
+        if key not in settings:
+            raise ConfigError(f"unknown config key {key!r}")
+        if value is None or value == "":
+            continue  # an absent, null or empty value keeps the default
+        try:
+            setattr(config, key, settings[key](value))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{source}: {exc}") from None
     return config
 
 
@@ -247,8 +267,7 @@ def _load_and_prepare(config: AnalysisConfig):
 
 def cmd_fit(config: AnalysisConfig) -> int:
     dataset, spec, dm = _load_and_prepare(config)
-    fit = fit_lmm(dm, dataset.response(), criterion=config.criterion,
-                  opts=config.fit_options())
+    fit = fit_lmm(dm, dataset.response(), criterion=config.criterion)
     _write_tables(config, [variance_table(fit), fixed_effects_table(fit)],
                   extra_json=fit_summary(fit))
     return EXIT_OK if fit.converged else EXIT_STATISTICAL
@@ -257,7 +276,6 @@ def cmd_fit(config: AnalysisConfig) -> int:
 def cmd_ranova(config: AnalysisConfig) -> int:
     dataset, spec, dm = _load_and_prepare(config)
     result = ranova(dm, dataset.response(), spec, criterion=config.criterion,
-                    opts=config.fit_options(),
                     boundary_correction=config.boundary_correction)
     meta = {"full_npar": result.full_npar, "full_loglik": result.full_loglik,
             "full_aic": result.full_aic, "criterion": result.criterion,
@@ -269,8 +287,7 @@ def cmd_ranova(config: AnalysisConfig) -> int:
 
 def cmd_anova(config: AnalysisConfig) -> int:
     dataset, spec, dm = _load_and_prepare(config)
-    fit = fit_lmm(dm, dataset.response(), criterion=config.criterion,
-                  opts=config.fit_options())
+    fit = fit_lmm(dm, dataset.response(), criterion=config.criterion)
     L = omnibus_rows(dm)
     row = anova_fixed(fit, L, term=spec.fixed_factor)
     _write_tables(config, [anova_table(row)])
@@ -279,8 +296,7 @@ def cmd_anova(config: AnalysisConfig) -> int:
 
 def cmd_contrasts(config: AnalysisConfig) -> int:
     dataset, spec, dm = _load_and_prepare(config)
-    fit = fit_lmm(dm, dataset.response(), criterion=config.criterion,
-                  opts=config.fit_options())
+    fit = fit_lmm(dm, dataset.response(), criterion=config.criterion)
     levels = config.levels if config.levels else dm.fixed_levels
     L = contrast_rows(dm, levels, kind=config.kind)
     rows = contrasts(fit, L, level=config.confidence, labels=list(levels))

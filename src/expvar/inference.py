@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import ModelSpec
 from .design import DesignMatrices, drop_random_factor_design
-from .lmm import FitOptions, FittedLMM, _inverse_gram, fit_lmm
+from .lmm import DEVIANCE_SLACK, FittedLMM, _inverse_gram, fit_lmm
 from .tails import chisq_sf, f_sf, t_sf, t_quantile
 
 log = logging.getLogger(__name__)
@@ -98,28 +98,28 @@ class ContrastRow:
 
 
 def ranova(dm: DesignMatrices, y: np.ndarray, spec: ModelSpec,
-           criterion: str = "REML", opts: FitOptions | None = None,
-           boundary_correction: bool = False) -> RanovaResult:
+           criterion: str = "REML", boundary_correction: bool = False) -> RanovaResult:
     """Likelihood-ratio test of each random factor against the full model.
 
     Each factor is dropped in turn and the refit compared to the full fit
     under the same criterion (REML by default; the fixed part is identical
     across the compared models, so restricted likelihoods are comparable).
-    The reference distribution is the plain chi-square with 1 df;
+    Every fit follows ``fit_lmm``'s one recipe. A negative LRT is clamped to
+    0, with a warning when it lies below ``-lmm.DEVIANCE_SLACK``, beyond
+    float noise. The reference distribution is the plain chi-square with 1 df;
     ``boundary_correction`` switches to the 50:50 point-mass/chi-square
     mixture that accounts for the variance sitting on the boundary.
     """
     if not dm.z_blocks:
         raise InferenceError("model has no random factors to test")
-    full = fit_lmm(dm, y, criterion=criterion, opts=opts)
+    full = fit_lmm(dm, y, criterion=criterion)
     rows = []
     for factor in dm.random_factors:
         reduced_dm = drop_random_factor_design(dm, factor)
-        reduced = fit_lmm(reduced_dm, y, criterion=criterion, opts=opts)
+        reduced = fit_lmm(reduced_dm, y, criterion=criterion)
         lrt = 2.0 * (full.loglik - reduced.loglik)
         if lrt < 0:
-            # a dip within the fits' own deviance tolerance is float noise
-            if -lrt > (opts or FitOptions()).tol:
+            if -lrt > DEVIANCE_SLACK:
                 log.warning("LRT for %r clamped to 0 (was %.3e)", factor, lrt)
             lrt = 0.0
         df = full.npar - reduced.npar

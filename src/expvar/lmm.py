@@ -35,6 +35,12 @@ from .design import DesignMatrices
 LOG_2PI = math.log(2.0 * math.pi)
 #: theta above this bound is treated as a numerical failure, not a fit.
 THETA_MAX = 1e8
+#: The recipe of every fit: the deviance slack within which the boundary
+#: snap and the final polish are accepted, the deviance evaluation budget
+#: per theta dimension, and the starting values of each theta.
+DEVIANCE_SLACK = 1e-8
+MAX_EVALS_PER_DIM = 500
+THETA_STARTS = (0.1, 1.0, 10.0)
 
 
 class FitError(ValueError):
@@ -43,24 +49,6 @@ class FitError(ValueError):
 
 class DegenerateDataError(FitError):
     """The response carries no usable variation."""
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    """Tuning knobs of the outer deviance minimization.
-
-    ``tol`` is the deviance slack within which the boundary snap and the
-    final polish are accepted; ``ranova`` takes LRT dips below it for
-    float noise.
-    """
-
-    tol: float = 1e-8
-    max_evals_per_dim: int = 500
-    multistart: tuple[float, ...] = (0.1, 1.0, 10.0)
-
-    def __post_init__(self):
-        # a tuple keeps the options hashable: fits are memoized on them
-        object.__setattr__(self, "multistart", tuple(self.multistart))
 
 
 @dataclass(frozen=True)
@@ -382,23 +370,18 @@ def aic(npar: int, loglik: float) -> float:
 
 
 #: Per design: the workspace of the response it was last used with, that
-#: response's bytes, and the fits made on it by criterion and options. A
-#: weak key, so an entry dies with its design; nothing stored refers to
-#: the design.
+#: response's bytes, and the fits made on it by criterion. A weak key, so
+#: an entry dies with its design; nothing stored refers to the design.
 _MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _shared_workspace(dm: DesignMatrices, y: np.ndarray) -> tuple[_Workspace, dict]:
     """The workspace of (dm, y) and the fits made on it so far.
 
-    A design keeps one response: another response replaces the entry. A
-    design that cannot be a weak dictionary key gets a fresh workspace.
+    A design keeps one response: another response replaces the entry.
     """
     key = (y.shape, y.tobytes())
-    try:
-        entry = _MEMO.get(dm)
-    except TypeError:
-        return _Workspace(dm, y), {}
+    entry = _MEMO.get(dm)
     if entry is None or entry[0] != key:
         entry = _MEMO[dm] = (key, _Workspace(dm, y), {})
     return entry[1], entry[2]
@@ -649,30 +632,30 @@ def _quadratic_polish(fn, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def fit_lmm(dm: DesignMatrices, y: np.ndarray, criterion: str = "REML",
-            opts: FitOptions | None = None) -> FittedLMM:
+def fit_lmm(dm: DesignMatrices, y: np.ndarray, criterion: str = "REML") -> FittedLMM:
     """Fit the mixed model by minimizing the profiled deviance over theta.
 
     Uses bounded golden-section search for a single random factor and
     multi-start Nelder-Mead (clamped at theta = 0) for several; boundary
-    estimates theta_q = 0 are legitimate results, not failures. If the
+    estimates theta_q = 0 are legitimate results, not failures. The recipe
+    is fixed by the module constants ``THETA_STARTS``, ``MAX_EVALS_PER_DIM``
+    and ``DEVIANCE_SLACK``, so the answer depends on the data alone. If the
     evaluation budget is exhausted the best point so far is returned with
     ``converged=False``.
 
     Fitting the same design object to a bit-identical response under the
-    same criterion and options again returns the same fit object, whose
+    same criterion again returns the same fit object, whose
     arrays are read-only: a fit is deterministic, so a refit would give
     the same numbers. ``ranova`` after ``fit_lmm`` on the same design and
     response therefore pays only for its reduced fits. Refusals are not
     stored and are raised again on every call.
     """
-    opts = opts or FitOptions()
     criterion = criterion.upper()
     if criterion not in ("REML", "ML"):
         raise FitError(f"unknown criterion {criterion!r}")
     ws, fits = _shared_workspace(dm, np.asarray(y, dtype=float))
-    if (criterion, opts) in fits:
-        return fits[criterion, opts]
+    if criterion in fits:
+        return fits[criterion]
     if ws.n <= ws.p:
         raise FitError(f"need more observations than fixed effects "
                        f"(n={ws.n}, p={ws.p})")
@@ -695,24 +678,24 @@ def fit_lmm(dm: DesignMatrices, y: np.ndarray, criterion: str = "REML",
             return math.inf
 
     objective = _CountedObjective(raw_objective)
-    budget = opts.max_evals_per_dim * max(n_factors, 1)
+    budget = MAX_EVALS_PER_DIM * max(n_factors, 1)
     if n_factors == 0:
         theta_hat = np.zeros(0)
         converged = True
     elif n_factors == 1:
-        theta_hat, _, converged = _minimize_1d(objective, opts.multistart, budget)
+        theta_hat, _, converged = _minimize_1d(objective, THETA_STARTS, budget)
     else:
         theta_hat, _, converged = _minimize_nd(
-            objective, n_factors, opts.multistart, budget)
+            objective, n_factors, THETA_STARTS, budget)
     # negligible coordinates are boundary solutions; snap when not worse
     snapped = theta_hat.copy()
     snapped[snapped < 1e-7] = 0.0
     if np.any(snapped != theta_hat) and \
-            objective(snapped) <= objective(theta_hat) + opts.tol:
+            objective(snapped) <= objective(theta_hat) + DEVIANCE_SLACK:
         theta_hat = snapped
     if n_factors:
         polished = _quadratic_polish(objective, theta_hat)
-        if objective(polished) <= objective(theta_hat) + opts.tol:
+        if objective(polished) <= objective(theta_hat) + DEVIANCE_SLACK:
             theta_hat = polished
     evals = max(objective.count, 1)
 
@@ -732,7 +715,7 @@ def fit_lmm(dm: DesignMatrices, y: np.ndarray, criterion: str = "REML",
     vcov = 0.5 * (vcov + vcov.T)
     for array in (sol["beta"], sol["b"], vcov):
         array.setflags(write=False)
-    fits[criterion, opts] = fit = FittedLMM(
+    fits[criterion] = fit = FittedLMM(
         beta=sol["beta"], vc=vc, blups=sol["b"], loglik=-0.5 * dev,
         criterion=criterion, vcov_beta=vcov, npar=ws.p + n_factors + 1,
         converged=converged, deviance_profile_evals=evals,

@@ -11,7 +11,6 @@ import pytest
 
 from expvar.cli import AnalysisConfig, main
 from expvar.data import Dataset, ModelSpec, write_csv
-from expvar.lmm import FitOptions
 from expvar.simulate import TreeDesign, generate
 
 
@@ -229,15 +228,18 @@ def test_csv_and_json_values_agree(tmp_path):
 
 def test_config_file_overrides_flags(tmp_path):
     data, _ = _write_dataset(tmp_path)
-    config = {"criterion": "ML"}
+    # each setting in its JSON form: lists, an object, a boolean, numbers
+    config = {"criterion": "ML", "format": ["json"], "random_factors": ["seed", "hparams"],
+              "columns": {"seed": "seed"}, "intercept": True, "confidence": 0.9, "seed": 3}
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
     out = tmp_path / "out"
-    code = main(["fit", "--input", str(data), "--criterion", "reml",
+    code = main(["fit", "--input", str(data), "--criterion", "reml", "--format", "csv",
                  "--config", str(config_path), "--output-dir", str(out)])
     assert code == 0
     summary = json.loads((out / "fit_summary.json").read_text())
     assert summary["criterion"] == "ML"
+    assert not list(out.glob("*.csv"))
 
 
 def test_bad_config_key_exits_2(tmp_path, capsys):
@@ -252,12 +254,37 @@ _DESIGN = {"combos": [["m", "adam", 0.5]], "n_seeds": 2, "n_configs": 2,
            "sigma_eps": 0.01}
 
 
+#: Config-file values of the wrong type or value, and keys of fit settings
+#: that no longer exist: the recipe of every fit is fixed.
+_BAD_CONFIGS = {
+    "config_confidence_not_a_number": {"confidence": "x"},
+    "config_criterion_not_a_string": {"criterion": 5},
+    "config_criterion_unknown": {"criterion": "foo"},
+    "config_intercept_not_a_boolean": {"intercept": "no"},
+    "config_random_factors_not_a_list": {"random_factors": {"seed": 1}},
+    "config_removed_tol": {"tol": 1e-6},
+    "config_removed_max_evals": {"max_evals": 1000},
+    "config_removed_multistart": {"multistart": [0.1, 1.0, 10.0]},
+}
+_BAD_FLAGS = {
+    "seed_flag_not_an_integer": ["--seed", "abc"],
+    "criterion_flag_unknown": ["--criterion", "foo"],
+    "confidence_flag_out_of_range": ["--confidence", "1.5"],
+}
+
+
 @pytest.mark.parametrize("case", ["columns_without_equals", "space_not_object",
-                                  "design_sd_not_a_number"])
+                                  "design_sd_not_a_number", *_BAD_CONFIGS, *_BAD_FLAGS])
 def test_malformed_input_exits_2_with_error_line(tmp_path, capsys, case):
     data, _ = _write_dataset(tmp_path)
     if case == "columns_without_equals":
         argv = ["fit", "--input", str(data), "--columns", "seed"]
+    elif case in _BAD_CONFIGS:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(_BAD_CONFIGS[case]))
+        argv = ["fit", "--input", str(data), "--config", str(config)]
+    elif case in _BAD_FLAGS:
+        argv = ["fit", "--input", str(data), *_BAD_FLAGS[case]]
     elif case == "space_not_object":
         space = tmp_path / "space.json"
         space.write_text(json.dumps([{"kind": "uniform", "low": 0, "high": 1}]))
@@ -270,12 +297,21 @@ def test_malformed_input_exits_2_with_error_line(tmp_path, capsys, case):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    if "removed" in case:
+        assert "unknown config key" in err
+
+
+@pytest.mark.parametrize("flag", ["--tol", "--max-evals", "--multistart"])
+def test_removed_fit_flags_are_usage_errors(tmp_path, capsys, flag):
+    data, _ = _write_dataset(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--input", str(data), flag, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
 def test_config_defaults_come_from_library_defaults():
-    config = AnalysisConfig(command="fit")
-    assert config.model_spec() == ModelSpec()
-    assert config.fit_options() == FitOptions()
+    assert AnalysisConfig(command="fit").model_spec() == ModelSpec()
 
 
 def test_stdout_tables_printed(tmp_path, capsys):

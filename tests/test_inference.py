@@ -4,7 +4,7 @@ import logging
 import numpy as np
 import pytest
 
-from expvar import inference
+from expvar import inference, lmm
 from expvar.data import ModelSpec
 from expvar.design import build_design, contrast_rows, difference_rows, omnibus_rows
 from expvar.inference import (InferenceError, _omega_covariance, anova_fixed,
@@ -58,12 +58,12 @@ def test_ranova_requires_random_factor():
         ranova(dm, ds.response(), spec)
 
 
-def test_ranova_flags_unconverged_rows():
-    from expvar.lmm import FitOptions
+def test_ranova_flags_unconverged_rows(monkeypatch):
+    # a budget of one evaluation per dimension starves every fit
+    monkeypatch.setattr(lmm, "MAX_EVALS_PER_DIM", 1)
     ds = crossed_dataset(generator_seed=6)
     dm = build_design(ds, ModelSpec())
-    starved = FitOptions(max_evals_per_dim=1)
-    result = ranova(dm, ds.response(), ModelSpec(), opts=starved)
+    result = ranova(dm, ds.response(), ModelSpec())
     assert not result.converged
     for row in result.rows:
         assert not row.converged

@@ -15,8 +15,8 @@ from expvar import lmm
 from expvar.data import FACTOR_COLUMNS, Dataset, ModelSpec
 from expvar.design import build_design, drop_random_factor_design
 from expvar.inference import ranova
-from expvar.lmm import (DegenerateDataError, FitError, FitOptions, _nelder_mead,
-                        _Workspace, aic, fit_lmm, reml_deviance)
+from expvar.lmm import (DegenerateDataError, FitError, _nelder_mead, _Workspace, aic,
+                        fit_lmm, reml_deviance)
 from expvar.simulate import TreeDesign, generate
 
 from conftest import (ONE_WAY_SPEC, crossed_dataset, dataset_from_rows,
@@ -608,7 +608,7 @@ def test_refit_on_equal_bytes_returns_the_same_fit(fixture_b):
     dm, y = fixture_b
     fit = fit_lmm(dm, y)
     assert fit_lmm(dm, np.array(y)) is fit
-    assert fit_lmm(dm, list(y), criterion="reml", opts=FitOptions()) is fit
+    assert fit_lmm(dm, list(y), criterion="reml") is fit
 
 
 def test_new_response_gets_a_new_fit_and_replaces_the_entry(fixture_b, monkeypatch):
@@ -628,14 +628,13 @@ def test_new_response_gets_a_new_fit_and_replaces_the_entry(fixture_b, monkeypat
 
 
 def test_criteria_and_options_are_separate_entries(fixture_b):
+    # every fit follows one recipe, so the criterion alone keys a design's fits
     dm, y = fixture_b
     reml, ml = fit_lmm(dm, y), fit_lmm(dm, y, criterion="ML")
-    loose = fit_lmm(dm, y, opts=FitOptions(tol=1e-6))
     assert ml is not reml and ml.criterion == "ML" and ml.loglik != reml.loglik
-    assert loose is not reml and loose is not ml
     assert fit_lmm(dm, y, criterion="ml") is ml
-    assert fit_lmm(dm, y, opts=FitOptions(tol=1e-6)) is loose
-    assert fit_lmm(dm, y, opts=FitOptions(multistart=[0.1, 1.0, 10.0])) is reml
+    assert fit_lmm(dm, y, criterion="reml") is reml
+    assert lmm._MEMO[dm][2] == {"REML": reml, "ML": ml}
 
 
 def test_reduced_design_gets_its_own_empty_entry(fixture_b):
@@ -667,16 +666,6 @@ def test_refusals_are_raised_on_every_call(fixture_b):
     for _ in range(2):
         with pytest.raises(DegenerateDataError, match="constant"):
             fit_lmm(dm, constant)
-
-
-def test_design_that_cannot_be_a_weak_key_is_fitted_afresh():
-    class Unhashable(_BareDesign):
-        __hash__ = None
-
-    dm = Unhashable(np.column_stack([np.ones(5), np.arange(5.0)]))
-    y = np.array([1.0, 2.5, 2.0, 4.5, 5.0])
-    first, second = fit_lmm(dm, y), fit_lmm(dm, y)
-    assert first is not second and np.array_equal(first.beta, second.beta)
 
 
 def test_ranova_after_fit_builds_only_the_reduced_workspaces(monkeypatch):
