@@ -7,9 +7,9 @@ contrast tables with standard errors, t-based p-values and confidence
 intervals.
 
 The Satterthwaite correction works on any fit object exposing
-``omega_hat``, ``converged``, ``nobs``, ``p``, ``vcov_beta_at_omega`` and
-``deviance_at_omega`` (see :func:`satterthwaite_df`), so it is not tied to
-one covariance structure.
+``omega_hat``, ``converged``, ``nobs``, ``p``, ``vcov_beta`` and
+``variance_derivatives()`` (see :func:`satterthwaite_df`), so it is not
+tied to one covariance structure.
 """
 
 from __future__ import annotations
@@ -25,15 +25,6 @@ from .lmm import DEVIANCE_SLACK, FittedLMM, _inverse_gram, fit_lmm
 from .tails import chisq_sf, f_sf, t_sf, t_quantile
 
 log = logging.getLogger(__name__)
-
-#: Relative step and absolute floor of the gradient stencils.
-FD_RELATIVE_STEP = 1e-4
-FD_STEP_FLOOR = 1e-8
-#: The Hessian uses a wider relative step: second differences divide the
-#: deviance's float noise by step^2, and at 1e-4 the noise would dominate
-#: the curvature of well-determined variance parameters. 3e-3 keeps the
-#: truncation bias below ~2e-5 relative while the noise stays below ~1e-6.
-FD_HESSIAN_RELATIVE_STEP = 3e-3
 
 
 class InferenceError(ValueError):
@@ -137,89 +128,19 @@ def ranova(dm: DesignMatrices, y: np.ndarray, spec: ModelSpec,
                         criterion=full.criterion, converged=full.converged)
 
 
-def _fd_steps(omega: np.ndarray) -> np.ndarray:
-    return np.maximum(FD_RELATIVE_STEP * np.abs(omega), FD_STEP_FLOOR)
-
-
-def _fd_hessian_steps(omega: np.ndarray) -> np.ndarray:
-    return np.maximum(FD_HESSIAN_RELATIVE_STEP * np.abs(omega), FD_STEP_FLOOR)
-
-
-def _fd_gradient(fn, x: np.ndarray, f0: np.ndarray, steps: np.ndarray,
-                 lower: float = 0.0) -> np.ndarray:
-    """Central-difference gradients, one-sided at the domain boundary.
-
-    ``fn`` maps x to an array of values and ``f0`` is ``fn(x)``; row r of
-    the result is the gradient of value r. Each stencil point costs one
-    call of ``fn``, whatever the number of values.
-    """
-    g = []
-    for i, h in enumerate(steps):
-        up = x.copy()
-        up[i] += h
-        if x[i] - h >= lower:
-            dn = x.copy()
-            dn[i] -= h
-            g.append((fn(up) - fn(dn)) / (2.0 * h))
-        else:
-            g.append((fn(up) - f0) / h)
-    return np.column_stack(g)
-
-
-def _axis_nodes(x: np.ndarray, i: int, h: float, lower: float) -> tuple[float, float]:
-    if x[i] - h >= lower:
-        return x[i] - h, x[i] + h
-    return x[i], x[i] + 2.0 * h
-
-
-def _fd_hessian(fn, x: np.ndarray, steps: np.ndarray, lower: float = 0.0) -> np.ndarray:
-    """Finite-difference Hessian with stencils kept inside x >= lower."""
-    m = x.size
-    H = np.zeros((m, m))
-    f0 = fn(x)
-    for i in range(m):
-        h = steps[i]
-        if x[i] - h >= lower:
-            up, dn = x.copy(), x.copy()
-            up[i] += h
-            dn[i] -= h
-            H[i, i] = (fn(up) - 2.0 * f0 + fn(dn)) / (h * h)
-        else:
-            p1, p2 = x.copy(), x.copy()
-            p1[i] += h
-            p2[i] += 2.0 * h
-            H[i, i] = (f0 - 2.0 * fn(p1) + fn(p2)) / (h * h)
-    for i in range(m):
-        for j in range(i + 1, m):
-            ai = _axis_nodes(x, i, steps[i], lower)
-            aj = _axis_nodes(x, j, steps[j], lower)
-            total = 0.0
-            for si, ui in ((1.0, ai[1]), (-1.0, ai[0])):
-                for sj, uj in ((1.0, aj[1]), (-1.0, aj[0])):
-                    z = x.copy()
-                    z[i] = ui
-                    z[j] = uj
-                    total += si * sj * fn(z)
-            H[i, j] = H[j, i] = total / ((ai[1] - ai[0]) * (aj[1] - aj[0]))
-    return H
-
-
-def _omega_covariance(fit) -> np.ndarray:
+def _omega_covariance(H: np.ndarray) -> np.ndarray:
     """Asymptotic covariance of the variance parameters, 2 * H^-1.
 
-    H is the finite-difference Hessian of the fit's deviance in the
-    variance parameters at the estimate.
+    H is the Hessian of the fit's deviance in the free variance parameters
+    at the estimate.
     """
-    omega = fit.omega_hat
-    steps = _fd_hessian_steps(omega)
-    H = _fd_hessian(fit.deviance_at_omega, omega, steps)
     try:
         cho = np.linalg.cholesky(H)
     except np.linalg.LinAlgError:
         raise InferenceError(
             "variance-parameter information matrix is not positive definite; "
-            "this usually means a variance estimate sits at the boundary "
-            "(some sigma^2 = 0), where the Satterthwaite correction is "
+            "the free variance parameters are not at a well-determined "
+            "minimum of the deviance, where the Satterthwaite correction is "
             "undefined") from None
     return 2.0 * _inverse_gram(cho)
 
@@ -229,42 +150,39 @@ def satterthwaite_df(fit, c: np.ndarray) -> float | np.ndarray:
 
     Computes df = 2 (c' V c)^2 / Var(c' V c), where V(omega) is the
     covariance of the fixed effects as a function of the variance
-    parameters omega, the gradient is taken by finite differences at the
-    estimate, and Var(omega_hat) is 2 H^-1 with H the finite-difference
-    Hessian of the deviance. The result is capped at the residual degrees
-    of freedom n - p.
+    parameters omega, its gradient is exact at the estimate, and
+    Var(omega_hat) is 2 H^-1 with H the exact Hessian of the deviance.
+    A variance component estimated at 0 is held fixed: its row and column
+    leave H and its entry leaves the gradient, which gives the df of the
+    model without that factor. The result is capped at the residual
+    degrees of freedom n - p.
 
     ``c`` is one contrast vector, giving a float, or a matrix with one
-    contrast per row, giving an array of dfs. All rows share one
-    evaluation of V per stencil point and one Var(omega_hat).
+    contrast per row, giving an array of dfs. All rows share one call of
+    ``variance_derivatives``.
 
     ``fit`` may be any object with ``omega_hat``, ``converged``, ``nobs``,
-    ``p``, ``vcov_beta_at_omega(omega)`` and ``deviance_at_omega(omega)``.
+    ``p``, ``vcov_beta`` and ``variance_derivatives()``, which returns the
+    Hessian of the deviance in omega and dV/domega_i stacked along the
+    first axis.
     """
+    if not fit.converged:
+        raise InferenceError("fit did not converge; degrees of freedom unavailable")
     single = np.ndim(c) < 2
     C = np.atleast_2d(np.asarray(c, dtype=float))
     if not np.all(np.any(C != 0.0, axis=1)):
         raise InferenceError("zero contrast vector has undefined degrees of freedom")
-    omega_cov = _omega_covariance(fit)
-    if not fit.converged:
-        raise InferenceError("fit did not converge; degrees of freedom unavailable")
-    omega = fit.omega_hat
-
-    def ctvc(w):
-        V = fit.vcov_beta_at_omega(w)
-        return np.array([float(row @ V @ row) for row in C])
-
-    values = ctvc(omega)
-    grads = _fd_gradient(ctvc, omega, values, _fd_steps(omega))
-    cap = float(fit.nobs - fit.p)
-    dfs = []
-    for value, grad in zip(values, grads):
-        denom = float(grad @ omega_cov @ grad)
-        if denom <= 0:
-            raise InferenceError("non-positive variance of the contrast variance; "
-                                 "Satterthwaite df undefined")
-        dfs.append(float(min(2.0 * value * value / denom, cap)))
-    return dfs[0] if single else np.array(dfs)
+    H, dV = fit.variance_derivatives()
+    free = np.asarray(fit.omega_hat) > 0.0
+    omega_cov = _omega_covariance(H[np.ix_(free, free)])
+    values = np.einsum("ri,ij,rj->r", C, fit.vcov_beta, C)
+    grads = np.einsum("ri,kij,rj->rk", C, dV[free], C)
+    denoms = np.einsum("rk,kl,rl->r", grads, omega_cov, grads)
+    if np.any(denoms <= 0):
+        raise InferenceError("non-positive variance of the contrast variance; "
+                             "Satterthwaite df undefined")
+    dfs = np.minimum(2.0 * values * values / denoms, float(fit.nobs - fit.p))
+    return float(dfs[0]) if single else dfs
 
 
 def anova_fixed(fit: FittedLMM, L: np.ndarray, term: str = "fixed") -> AnovaRow:

@@ -286,6 +286,56 @@ class _Workspace:
         q = self.q_rest
         return sigma2 * _inverse_gram(L[q:-1, q:-1])
 
+    def variance_derivatives(self, theta: np.ndarray, sigma2: float,
+                             reml: bool = True) -> tuple[np.ndarray, np.ndarray]:
+        """Exact Hessian of the deviance in omega = (sigma2_1..sigma2_k,
+        sigma2), and dV_beta/domega_i stacked along the first axis.
+
+        With V = sigma2 V0, V_i = dV/domega_i and T = P for REML, V^-1 for
+        ML, the Hessian is -tr(T V_i T V_j) + 2 y'P V_i P V_j P y, and
+        dV_beta/domega_i = V_beta X'V^-1 V_i V^-1 X V_beta. For the random
+        factors every term is a block of W = [Z X r]'V0^-1[Z X r], one
+        solve on M by Woodbury. The residual row and column follow from
+        the scaling identity d(c omega) = d(omega) + dof log c +
+        y'Py (1/c - 1) and V_beta(c omega) = c V_beta(omega), differentiated
+        once and twice in c.
+        """
+        theta = np.asarray(theta, dtype=float)
+        q, p, k, M = self.q, self.p, self.n_factors, self.M
+        # random factor of each Z row of M, and as an indicator matrix
+        factor = self.col_factor[self.z_order]
+        member = factor[:, None] == np.arange(k)
+        scaled = M[:q] * theta[factor][:, None]
+        B = scaled[:, :q] * theta[factor]
+        B[np.diag_indices(q)] += 1.0
+        W = M - scaled.T @ np.linalg.solve(B, scaled)
+        Wxx_inv = np.linalg.inv(W[q:-1, q:-1])
+        F = W[:q, q:-1] @ Wxx_inv
+        # [Z r]'P0[Z r]: the Schur complement of W's fixed-effect block
+        keep = np.r_[:q, q + p]
+        schur = W[np.ix_(keep, keep)] - W[keep, q:-1] @ Wxx_inv @ W[q:-1, keep]
+        S_zz, s = schur[:q, :q], schur[:q, -1]
+        T = S_zz if reml else W[:q, :q]
+        H = np.empty((k + 1, k + 1))
+        H[:k, :k] = (member.T @ (2.0 / sigma2 * S_zz * np.outer(s, s) - T * T)
+                     @ member) / sigma2 ** 2
+        omega = theta ** 2 * sigma2
+        # sum_j omega_j H_ij = 2 y'P V_i P y - tr(T V_i)
+        trace = member.T @ T.diagonal() / sigma2
+        quad = member.T @ (s * s) / sigma2 ** 2
+        H[:k, k] = H[k, :k] = (2.0 * quad - trace - H[:k, :k] @ omega) / sigma2
+        # omega'H omega = 2 y'Py - dof
+        dof = (self.n - p) if reml else self.n
+        H[k, k] = (2.0 * schur[-1, -1] / sigma2 - dof - omega @ H[:k, :k] @ omega
+                   - 2.0 * sigma2 * omega @ H[:k, k]) / sigma2 ** 2
+        dV = np.empty((k + 1, p, p))
+        for i in range(k):
+            Fi = F[member[:, i]]
+            dV[i] = Fi.T @ Fi
+        # sum_i omega_i dV_i = V_beta
+        dV[k] = Wxx_inv - np.tensordot(theta ** 2, dV[:k], axes=1)
+        return H, dV
+
 
 def _inverse_gram(R: np.ndarray) -> np.ndarray:
     """(R R')^-1 for a lower-triangular R."""
@@ -299,9 +349,10 @@ class FittedLMM:
 
     ``loglik`` is the restricted or full log-likelihood according to
     ``criterion``; ``npar`` counts fixed effects plus variance parameters.
-    The private workspace handle supports evaluating the deviance and the
-    beta covariance at off-estimate variance parameters, which downstream
-    degrees-of-freedom corrections need. The arrays are read-only, since
+    The private workspace handle evaluates the deviance and the beta
+    covariance at any variance parameters, and their exact derivatives
+    (``variance_derivatives``), which the Satterthwaite degrees of freedom
+    are built from. The arrays are read-only, since
     ``fit_lmm`` hands the same fit to every caller on the same design and
     response.
     """
@@ -362,6 +413,14 @@ class FittedLMM:
     def vcov_beta_at_omega(self, omega: np.ndarray) -> np.ndarray:
         theta, sigma2 = self._split_omega(omega)
         return self._ws.vcov_beta(theta, sigma2)
+
+    def variance_derivatives(self, omega=None) -> tuple[np.ndarray, np.ndarray]:
+        """Hessian of ``deviance_at_omega`` and the derivatives of
+        ``vcov_beta_at_omega``, one p x p matrix per omega_i, at omega
+        (by default the estimate)."""
+        theta, sigma2 = self._split_omega(self.omega_hat if omega is None else omega)
+        return self._ws.variance_derivatives(theta, sigma2,
+                                             reml=self.criterion == "REML")
 
 
 def aic(npar: int, loglik: float) -> float:

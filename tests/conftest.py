@@ -60,7 +60,9 @@ class WelchFit:
     """Two-group unequal-variance means model exposing the fit protocol.
 
     The REML criterion per group is n log v + RSS/v + log(n/v); the REML
-    variance estimates are the usual RSS/(n-1).
+    variance estimates are the usual RSS/(n-1). At them its Hessian in
+    (v1, v2) is diag((n_i - 1) / v_i^2), and V_beta = diag(v_i / n_i) has
+    dV_beta/dv_i = e_i e_i' / n_i.
     """
 
     def __init__(self, x1, x2):
@@ -72,14 +74,13 @@ class WelchFit:
         self.rss = np.array([np.sum((x1 - x1.mean()) ** 2),
                              np.sum((x2 - x2.mean()) ** 2)])
         self.omega_hat = self.rss / (self.ns - 1)
+        self.vcov_beta = np.diag(self.omega_hat / self.ns)
 
-    def vcov_beta_at_omega(self, omega):
-        return np.diag(np.asarray(omega, dtype=float) / self.ns)
-
-    def deviance_at_omega(self, omega):
-        omega = np.asarray(omega, dtype=float)
-        return float(np.sum(self.ns * np.log(omega) + self.rss / omega
-                            + np.log(self.ns / omega)))
+    def variance_derivatives(self):
+        H = np.diag((self.ns - 1) / self.omega_hat ** 2)
+        dV = np.zeros((2, 2, 2))
+        dV[[0, 1], [0, 1], [0, 1]] = 1.0 / self.ns
+        return H, dV
 
 
 def welch_satterthwaite_formula(x1, x2) -> float:

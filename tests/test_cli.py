@@ -12,6 +12,7 @@ import pytest
 from expvar.cli import AnalysisConfig, main
 from expvar.data import Dataset, ModelSpec, write_csv
 from expvar.simulate import TreeDesign, generate
+from expvar.tails import t_quantile, t_sf
 
 
 def _write_dataset(tmp_path, name="data.csv", generator_seed=6, **kwargs):
@@ -112,6 +113,30 @@ def test_contrasts_row_count_and_layout(tmp_path):
                  "--levels", "m-net:adam"])
     rows = _read_csv(out / "means_comparisons.csv")
     assert len(rows) - 1 == 1
+
+
+def test_boundary_fit_gets_the_df_of_the_model_without_the_factor(tmp_path):
+    # criterion 8's H1 design (no true seed effect); at generator seed 0 the
+    # fit puts sigma^2_seed at 0, which is held fixed: the df is the
+    # residual df of the model without seed, 120 - 2 - 5 + 1 = 114
+    data, _ = _write_dataset(tmp_path, generator_seed=0, n_configs=5, n_reruns=3,
+                             sigma_seed=0.0, sigma_hparam=0.042334, sigma_eps=0.020828,
+                             combos=(("m-net", "adam", 0.45), ("protonet", "sgd", 0.62)))
+    out = tmp_path / "out"
+    assert main(["fit", "--input", str(data), "--output-dir", str(out)]) == 0
+    variances = json.loads((out / "variance_components.json").read_text())["rows"]
+    assert variances[0]["label"] == "seed" and variances[0]["Variance"] == 0.0
+    assert main(["anova", "--input", str(data), "--output-dir", str(out)]) == 0
+    row, = json.loads((out / "fixed_effects_anova.json").read_text())["rows"]
+    assert row["DenDF"] == pytest.approx(114.0, abs=1e-6)
+    assert main(["contrasts", "--input", str(data), "--output-dir", str(out)]) == 0
+    rows = json.loads((out / "means_comparisons.json").read_text())["rows"]
+    assert len(rows) == 2
+    for r in rows:
+        t_stat = r["Estimate"] / r["Std. Error"]
+        assert r["Pr(>|t|)"] == pytest.approx(2.0 * t_sf(abs(t_stat), 114.0), rel=1e-6)
+        half = (r["upper"] - r["lower"]) / 2.0
+        assert half == pytest.approx(t_quantile(0.975, 114.0) * r["Std. Error"], rel=1e-9)
 
 
 def test_simulate_writes_dataset_and_truth(tmp_path):

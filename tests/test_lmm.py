@@ -493,6 +493,77 @@ def test_exact_fit_has_zero_pwrss_at_theta_zero():
 
 
 # ---------------------------------------------------------------------------
+# Exact derivatives in the variance parameters against dense n x n algebra
+# ---------------------------------------------------------------------------
+
+
+def _dense_variance_derivatives(dm, y, omega, reml):
+    """Hessian of the deviance in omega and dV_beta/domega from explicit
+    n x n matrices: V = sum_i omega_i V_i, V^-1, P and the textbook traces."""
+    n = dm.n
+    V_i = [dm.Z[:, b] @ dm.Z[:, b].T for b in dm.z_blocks.values()] + [np.eye(n)]
+    V_inv = np.linalg.inv(sum(w * v for w, v in zip(omega, V_i)))
+    V_beta = np.linalg.inv(dm.X.T @ V_inv @ dm.X)
+    P = V_inv - V_inv @ dm.X @ V_beta @ dm.X.T @ V_inv
+    T = P if reml else V_inv
+    Py = P @ y
+    H = np.array([[-np.trace(T @ a @ T @ b) + 2.0 * Py @ a @ P @ b @ Py for b in V_i]
+                  for a in V_i])
+    dV = np.array([V_beta @ dm.X.T @ V_inv @ a @ V_inv @ dm.X @ V_beta for a in V_i])
+    return H, dV
+
+
+@pytest.mark.parametrize("random_factors, sizes", [
+    (("seed", "hparams"), {"model": 3, "seed": 4, "hparams": 5}),
+    # hparams outnumbers the other rows and is eliminated
+    (("seed", "hparams", "rerun"), {"model": 2, "seed": 3, "hparams": 14, "rerun": 2})])
+@pytest.mark.parametrize("criterion", ["REML", "ML"])
+def test_variance_derivatives_match_dense_oracle(random_factors, sizes, criterion):
+    ds = _random_labels(len(random_factors), 60, sizes)
+    dm = build_design(ds, ModelSpec(fixed_factor="model", random_factors=random_factors))
+    y = ds.response()
+    fit = fit_lmm(dm, y, criterion=criterion)
+    k = len(random_factors)
+    assert fit._ws.eliminated == (None if k == 2 else "hparams")
+    off = fit.omega_hat * np.linspace(0.5, 2.0, k + 1) + np.r_[np.full(k, 1e-3), 0.0]
+    for omega in (fit.omega_hat, off):
+        H, dV = fit.variance_derivatives(omega)
+        H_dense, dV_dense = _dense_variance_derivatives(dm, y, omega, criterion == "REML")
+        assert np.max(np.abs(H - H_dense)) <= 1e-8 * np.max(np.abs(H_dense))
+        assert np.max(np.abs(dV - dV_dense)) <= 1e-8 * np.max(np.abs(dV_dense))
+    assert np.array_equal(fit.variance_derivatives()[0],
+                          fit.variance_derivatives(fit.omega_hat)[0])
+
+
+def test_variance_derivatives_match_differences_of_the_fit_protocol(fixture_b):
+    # deviance_at_omega and vcov_beta_at_omega are the functions whose
+    # derivatives these are: central differences agree to their noise
+    dm, y = fixture_b
+    fit = fit_lmm(dm, y)
+    omega = fit.omega_hat
+    H, dV = fit.variance_derivatives()
+    steps = 1e-3 * omega
+    m = omega.size
+
+    def at(*moves):
+        w = omega.copy()
+        for i, s in moves:
+            w[i] += s * steps[i]
+        return w
+
+    H_fd = np.empty((m, m))
+    for i, j in itertools.product(range(m), repeat=2):
+        f = [fit.deviance_at_omega(at((i, a), (j, b))) for a, b in
+             ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+        H_fd[i, j] = (f[0] - f[1] - f[2] + f[3]) / (4.0 * steps[i] * steps[j])
+    dV_fd = np.array([(fit.vcov_beta_at_omega(at((i, 1))) -
+                       fit.vcov_beta_at_omega(at((i, -1)))) / (2.0 * steps[i])
+                      for i in range(m)])
+    assert np.max(np.abs(H - H_fd)) <= 1e-4 * np.max(np.abs(H))
+    assert np.max(np.abs(dV - dV_fd)) <= 1e-4 * np.max(np.abs(dV))
+
+
+# ---------------------------------------------------------------------------
 # Cross-products from level codes against a dense indicator matrix
 # ---------------------------------------------------------------------------
 
