@@ -120,7 +120,8 @@ class AnalysisConfig:
     input: str | None = _setting(_text)
     output_dir: str | None = _setting(_text)
     formats: tuple[str, ...] = _setting(_names("csv", "json"), ("csv", "json"))
-    seed: int | None = _setting(_number(int, "an integer"))
+    seed: int | None = _setting(_number(int, "a non-negative integer",
+                                        lambda value: value >= 0))
     criterion: str = _setting(_one_of("REML", "ML", fold=str.upper), "REML")
     boundary_correction: bool = _setting(_boolean, False)
     confidence: float = _setting(

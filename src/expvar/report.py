@@ -253,10 +253,10 @@ def anova_table(rows: list[AnovaRow] | AnovaRow) -> Table:
 
 def contrast_table(rows: list[ContrastRow]) -> Table:
     labels = tuple(r.label for r in rows)
-    body = tuple((r.estimate, r.std_error, r.lower, r.upper, r.p_value)
+    body = tuple((r.estimate, r.std_error, r.df, r.lower, r.upper, r.p_value)
                  for r in rows)
     return Table(name="means_comparisons",
-                 columns=("Estimate", "Std. Error", "lower", "upper", "Pr(>|t|)"),
+                 columns=("Estimate", "Std. Error", "df", "lower", "upper", "Pr(>|t|)"),
                  rows=body, label_header="", row_labels=labels)
 
 

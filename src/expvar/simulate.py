@@ -3,9 +3,13 @@
 Generates datasets from the additive decomposition the estimator assumes:
 every leaf of the combo -> seed -> config -> rerun tree observes its combo
 mean plus a per-seed deviation, a per-config deviation and residual noise.
-Each random draw comes from its own counter-derived substream, so
-generation is reproducible from a single integer seed, order-independent,
-and parallelizable per leaf.
+Each random draw comes from its own substream, keyed by the draw's path in
+the tree: ``default_rng(SeedSequence([root, key]))`` with ``key`` the 64-bit
+blake2b digest of the path, so generation is reproducible from a single
+integer seed, order-independent, and parallelizable per leaf. ``generate``
+derives all of a table's substreams in one vectorised pass (numpy's
+SeedSequence mixing in ``uint32`` arithmetic, then PCG64's seeding step)
+and is bit for bit identical to building each generator on its own.
 """
 
 from __future__ import annotations
@@ -23,11 +27,15 @@ class SimulationError(ValueError):
     """Raised for invalid tree designs or sampling spaces."""
 
 
+def _digest(path: str) -> bytes:
+    """The 8-byte blake2b digest of a "/"-joined tree path; read big-endian,
+    it is the path's key."""
+    return hashlib.blake2b(path.encode(), digest_size=8).digest()
+
+
 def _substream(root_seed: int, *path) -> np.random.Generator:
     """Independent generator for one node of the tree, derived from its path."""
-    digest = hashlib.blake2b("/".join(str(p) for p in path).encode(),
-                             digest_size=8).digest()
-    key = int.from_bytes(digest, "big")
+    key = int.from_bytes(_digest("/".join(map(str, path))), "big")
     return np.random.default_rng(np.random.SeedSequence([root_seed, key]))
 
 
@@ -35,6 +43,83 @@ def _normal(root_seed: int, sd: float, *path) -> float:
     if sd == 0.0:
         return 0.0
     return float(_substream(root_seed, *path).normal(0.0, sd))
+
+
+# numpy's SeedSequence (pool of 4 uint32 words) and PCG64 seeding constants
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """``init * mult**k`` mod 2**32 for k < count, as a (count, 1) column."""
+    consts = [init]
+    for _ in range(count - 1):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+def _hash(rows: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hash of row i with ``consts[i]`` and ``consts[i + 1]``."""
+    rows = (rows ^ consts[:-1]) * consts[1:]
+    return rows ^ (rows >> np.uint32(16))
+
+
+def _seed_words(root_seed: int, keys: np.ndarray) -> np.ndarray:
+    """``SeedSequence([root_seed, key]).generate_state(4, np.uint64)`` per key.
+
+    ``root_seed`` must lie in [0, 2**32), so it is one entropy word; each
+    key (uint64) is one or two more, and the pool pads with zero words, so
+    a key below 2**32 needs no special case. Every step runs on all keys at
+    once; while one pool word mixes into the other three it does not
+    change, so those three steps are one. Returns an (n, 4) uint64 array.
+    """
+    keys = np.asarray(keys, dtype=np.uint64)
+    hash_a = _hash_consts(_INIT_A, _MULT_A, 4 + 12 + 1)
+    pool = np.zeros((4, keys.size), dtype=np.uint32)
+    pool[0] = root_seed
+    pool[1] = keys & np.uint64(_MASK32)
+    pool[2] = keys >> np.uint64(32)
+    pool = _hash(pool, hash_a[:5])
+    for src in range(4):
+        dst = [i for i in range(4) if i != src]
+        hashed = _hash(pool[[src] * 3], hash_a[4 + 3 * src:8 + 3 * src])
+        mixed = np.uint32(_MIX_MULT_L) * pool[dst] - np.uint32(_MIX_MULT_R) * hashed
+        pool[dst] = mixed ^ (mixed >> np.uint32(16))
+    words = _hash(pool[[0, 1, 2, 3] * 2], _hash_consts(_INIT_B, _MULT_B, 9))
+    words = words.astype(np.uint64)
+    # little-endian pairs of uint32 words make the uint64 words
+    return (words[0::2] | words[1::2] << np.uint64(32)).T
+
+
+def _normals(root_seed: int, sd: float, paths: list[str]) -> np.ndarray:
+    """``_normal(root_seed, sd, path)`` for every "/"-joined path, bit for bit.
+
+    Each path's PCG64 state is set from its seed words in place of a new
+    SeedSequence and generator per draw. A root seed outside [0, 2**32)
+    changes SeedSequence's word layout and takes the per-draw route.
+    """
+    if sd == 0.0:
+        return np.zeros(len(paths))
+    if not 0 <= root_seed <= _MASK32:
+        return np.array([_normal(root_seed, sd, path) for path in paths])
+    keys = np.frombuffer(b"".join(map(_digest, paths)), dtype=">u8")
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    draws = np.empty(len(paths))
+    for i, (state_hi, state_lo, seq_hi, seq_lo) in enumerate(
+            _seed_words(root_seed, keys).tolist()):
+        # PCG64's seeding: the stream sets the odd increment, then two LCG
+        # steps from state 0 with the initial state added in between
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        state = ((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _MASK128
+        bit_generator.state = {"bit_generator": "PCG64",
+                               "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        draws[i] = rng.standard_normal()
+    return 0.0 + sd * draws  # as Generator.normal(0.0, sd) computes it
 
 
 @dataclass(frozen=True)
@@ -75,6 +160,8 @@ class TreeDesign:
                 raise SimulationError(f"{name} must be a finite sd >= 0, got {sd}")
         if self.rerun_mode not in ("deterministic", "noisy"):
             raise SimulationError(f"unknown rerun_mode {self.rerun_mode!r}")
+        if self.generator_seed < 0:
+            raise SimulationError(f"generator_seed must be >= 0, got {self.generator_seed}")
 
 
 def _width(count: int) -> int:
@@ -99,23 +186,26 @@ def generate(design: TreeDesign) -> Dataset:
         config_labels = [f"{s}-hp{k:0{cw}d}" for s in seed_labels for k in range(n_configs)]
     else:
         config_labels = [f"hp{k:0{cw}d}" for k in range(n_configs)] * n_seeds
-    seed_effects = [_normal(root, design.sigma_seed, "seed", s) for s in seed_labels]
-    config_effects = {label: _normal(root, design.sigma_hparam, "config", label)
-                      for label in dict.fromkeys(config_labels)}
+    seed_effects = _normals(root, design.sigma_seed, [f"seed/{s}" for s in seed_labels])
+    distinct = {label: i for i, label in enumerate(dict.fromkeys(config_labels))}
+    config_effects = _normals(root, design.sigma_hparam,
+                              [f"config/{label}" for label in distinct])
+    config_effects = config_effects[[distinct[c] for c in config_labels]]
 
-    noisy = design.rerun_mode == "noisy"
-    y = []
-    for model, optimizer, mu in design.combos:
-        combo = f"{model}:{optimizer}"
-        for j, s in enumerate(seed_labels):
-            for cfg in config_labels[j * n_configs:(j + 1) * n_configs]:
-                base = mu + seed_effects[j] + config_effects[cfg]
-                if noisy:
-                    y.extend(base + _normal(root, design.sigma_eps, "eps", combo, s, cfg, r)
-                             for r in rerun_labels)
-                else:
-                    y.extend([base + _normal(root, design.sigma_eps,
-                                             "eps", combo, s, cfg)] * n_reruns)
+    # one (combo, seed, config) leaf per row of ``base``, in row order
+    mu = np.array([c[2] for c in design.combos])
+    base = ((mu[:, None, None] + seed_effects[None, :, None])
+            + config_effects.reshape(1, n_seeds, n_configs)).ravel()
+    leaves = [f"eps/{model}:{optimizer}/{s}/{cfg}" for model, optimizer, _ in design.combos
+              for j, s in enumerate(seed_labels)
+              for cfg in config_labels[j * n_configs:(j + 1) * n_configs]]
+    if design.rerun_mode == "noisy":
+        eps = _normals(root, design.sigma_eps,
+                       [f"{leaf}/{r}" for leaf in leaves for r in rerun_labels])
+        y = np.repeat(base, n_reruns) + eps
+    else:
+        eps = _normals(root, design.sigma_eps, leaves)
+        y = np.repeat(base + eps, n_reruns)
 
     def column(name, labels, repeat, tile):
         levels, codes = encode_labels(name, labels)
@@ -129,7 +219,7 @@ def generate(design: TreeDesign) -> Dataset:
         "hparams": column("hparams", config_labels, n_reruns, n_combos),
         "rerun": column("rerun", rerun_labels, 1, n_combos * n_seeds * n_configs),
     }
-    return Dataset(factors=factors, y=np.array(y))
+    return Dataset(factors=factors, y=y)
 
 
 @dataclass(frozen=True)
@@ -229,6 +319,8 @@ def sample_hyperparams(space: dict[str, HyperparamDistribution], n: int,
         raise SimulationError("hyper-parameter space is empty")
     if n < 1:
         raise SimulationError(f"need n >= 1 configurations, got {n}")
+    if seed < 0:
+        raise SimulationError(f"seed must be >= 0, got {seed}")
     configs = []
     for i in range(n):
         config = {}

@@ -106,7 +106,7 @@ def test_contrasts_row_count_and_layout(tmp_path):
     code = main(["contrasts", "--input", str(data), "--output-dir", str(out)])
     assert code == 0
     rows = _read_csv(out / "means_comparisons.csv")
-    assert rows[0] == ["", "Estimate", "Std. Error", "lower", "upper", "Pr(>|t|)"]
+    assert rows[0] == ["", "Estimate", "Std. Error", "df", "lower", "upper", "Pr(>|t|)"]
     observed_combos = set(zip(ds.level_codes("model"), ds.level_codes("optimizer")))
     assert len(rows) - 1 == len(observed_combos)
     code = main(["contrasts", "--input", str(data), "--output-dir", str(out),
@@ -133,10 +133,12 @@ def test_boundary_fit_gets_the_df_of_the_model_without_the_factor(tmp_path):
     rows = json.loads((out / "means_comparisons.json").read_text())["rows"]
     assert len(rows) == 2
     for r in rows:
+        assert r["df"] == pytest.approx(114.0, abs=1e-6)
         t_stat = r["Estimate"] / r["Std. Error"]
-        assert r["Pr(>|t|)"] == pytest.approx(2.0 * t_sf(abs(t_stat), 114.0), rel=1e-6)
+        assert r["Pr(>|t|)"] == pytest.approx(2.0 * t_sf(abs(t_stat), r["df"]), rel=1e-12)
         half = (r["upper"] - r["lower"]) / 2.0
-        assert half == pytest.approx(t_quantile(0.975, 114.0) * r["Std. Error"], rel=1e-9)
+        assert half == pytest.approx(t_quantile(0.975, r["df"]) * r["Std. Error"],
+                                     rel=1e-9)
 
 
 def test_simulate_writes_dataset_and_truth(tmp_path):
@@ -164,6 +166,15 @@ def test_simulate_writes_dataset_and_truth(tmp_path):
     out3 = tmp_path / "sim3"
     main(["simulate", "--design", str(design_path), "--output-dir", str(out3)])
     assert (out / "dataset.csv").read_bytes() == (out3 / "dataset.csv").read_bytes()
+
+
+def test_simulate_negative_design_seed_exits_1(tmp_path, capsys):
+    design = tmp_path / "design.json"
+    design.write_text(json.dumps(dict(_DESIGN, generator_seed=-1)))
+    assert main(["simulate", "--design", str(design), "--output-dir",
+                 str(tmp_path / "sim")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: generator_seed must be >= 0, got -1\n"
 
 
 def test_sample_hparams(tmp_path):
@@ -287,18 +298,21 @@ _BAD_CONFIGS = {
     "config_criterion_unknown": {"criterion": "foo"},
     "config_intercept_not_a_boolean": {"intercept": "no"},
     "config_random_factors_not_a_list": {"random_factors": {"seed": 1}},
+    "config_seed_negative": {"seed": -1},
     "config_removed_tol": {"tol": 1e-6},
     "config_removed_max_evals": {"max_evals": 1000},
     "config_removed_multistart": {"multistart": [0.1, 1.0, 10.0]},
 }
 _BAD_FLAGS = {
     "seed_flag_not_an_integer": ["--seed", "abc"],
+    "seed_flag_negative": ["--seed", "-1"],
     "criterion_flag_unknown": ["--criterion", "foo"],
     "confidence_flag_out_of_range": ["--confidence", "1.5"],
 }
 
 
 @pytest.mark.parametrize("case", ["columns_without_equals", "space_not_object",
+                                  "simulate_seed_negative", "sample_hparams_seed_negative",
                                   "design_sd_not_a_number", *_BAD_CONFIGS, *_BAD_FLAGS])
 def test_malformed_input_exits_2_with_error_line(tmp_path, capsys, case):
     data, _ = _write_dataset(tmp_path)
@@ -314,6 +328,15 @@ def test_malformed_input_exits_2_with_error_line(tmp_path, capsys, case):
         space = tmp_path / "space.json"
         space.write_text(json.dumps([{"kind": "uniform", "low": 0, "high": 1}]))
         argv = ["sample-hparams", "--space", str(space), "--n", "2"]
+    elif case == "sample_hparams_seed_negative":
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps({"lr": {"kind": "uniform", "low": 0, "high": 1}}))
+        argv = ["sample-hparams", "--space", str(space), "--n", "2", "--seed", "-1"]
+    elif case == "simulate_seed_negative":
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps(_DESIGN))
+        argv = ["simulate", "--design", str(design), "--output-dir",
+                str(tmp_path / "sim"), "--seed", "-1"]
     else:
         design = tmp_path / "design.json"
         design.write_text(json.dumps(dict(_DESIGN, sigma_seed="abc")))

@@ -1,10 +1,11 @@
 """Golden sha256 hashes of simulate and boxplot-data outputs.
 
 The hashes pin the exact bytes of ``dataset.csv`` for three tree designs
-(noisy and crossed, deterministic, nested configs) and of the boxplot
-reports for a paper-sized table. ``simulate`` streams must stay
-bit-identical, because every statistical criterion depends on the datasets
-they produce; a change that reorders, adds or drops a draw fails here.
+(noisy and crossed, deterministic, nested configs) and for the benchmark's
+60,000-row design, and of the boxplot reports for a paper-sized table.
+``simulate`` streams must stay bit-identical, because every statistical
+criterion depends on the datasets they produce; a change that reorders,
+adds or drops a draw fails here.
 """
 
 import hashlib
@@ -43,6 +44,9 @@ PAPER_DESIGN = {"combos": [["m-net", "adam", 0.45], ["protonet", "sgd", 0.62],
                 "n_seeds": 4, "n_configs": 5, "n_reruns": 3,
                 "sigma_seed": 0.005559, "sigma_hparam": 0.042334,
                 "sigma_eps": 0.020828, "rerun_mode": "noisy", "generator_seed": 4}
+#: The benchmark's large design, read from its file; its stream at seed 0.
+LARGE_DESIGN = Path(__file__).resolve().parent.parent / "perfbench" / "cli_large_design.json"
+LARGE_SEED0_HASH = "4f50f15541515cfff7d2db511a14f2f8893951e8aff70e90c18011feec49af6a"
 BOXPLOT_HASHES = {
     "boxplot_data.csv": "68bf3ca8616f4d0da844da5e0654fa8ac8d991f5d09f2f240fe2c2e18e7fcc8b",
     "boxplot_data.json": "962d9d1f283c264401412a0df0b7ef85031c9919b73e77c078b976e38f8e3e4e",
@@ -65,6 +69,15 @@ def _simulate(tmp_path: Path, design: dict) -> Path:
 def test_simulate_dataset_golden(tmp_path, name):
     design, digest = DESIGNS[name]
     assert _sha256(_simulate(tmp_path, design)) == digest
+
+
+def test_large_benchmark_dataset_golden(tmp_path):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--design", str(LARGE_DESIGN), "--seed", "0",
+                 "--output-dir", str(out)]) == 0
+    data = out / "dataset.csv"
+    assert data.read_bytes().count(b"\n") == 60001
+    assert _sha256(data) == LARGE_SEED0_HASH
 
 
 def test_boxplot_reports_golden(tmp_path):

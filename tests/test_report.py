@@ -7,7 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from expvar.report import Table, boxplot_table
+from expvar.inference import ContrastRow
+from expvar.report import Table, boxplot_table, contrast_table
 
 from conftest import dataset_from_rows
 
@@ -114,3 +115,15 @@ def test_to_json_falls_back_on_keys_json_merges_or_converts():
                   Table("t", ("label", "a"), ((1, 2),), row_labels=("x",)),
                   Table("t", ("a",), ((1,),), row_labels=(3,))):
         assert table.to_json() == _json_dumps(table)
+
+
+def test_contrast_table_writes_each_rows_df():
+    rows = [ContrastRow(label="a", estimate=0.1, std_error=0.02, df=114.0,
+                        lower=0.06, upper=0.14, p_value=1e-5),
+            ContrastRow(label="b", estimate=0.0, std_error=0.0, df=None,
+                        lower=0.0, upper=0.0, p_value=1.0)]
+    table = contrast_table(rows)
+    assert table.columns == ("Estimate", "Std. Error", "df", "lower", "upper", "Pr(>|t|)")
+    csv_rows = list(csv.reader(io.StringIO(table.to_csv())))
+    assert csv_rows[1][3] == "114" and csv_rows[2][3] == ""
+    assert [r["df"] for r in json.loads(table.to_json())["rows"]] == [114.0, None]

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from expvar.data import ensure_factor
+from expvar import simulate
 from expvar.simulate import (HyperparamDistribution, SimulationError, TreeDesign,
-                             generate, sample_hyperparams)
+                             _normal, _seed_words, generate, sample_hyperparams)
 
 COMBOS = (("m-net", "adam", 0.45), ("protonet", "sgd", 0.62), ("tadam", "adam", 0.7))
 
@@ -99,6 +100,67 @@ def test_design_validation():
     with pytest.raises(SimulationError):
         TreeDesign(combos=(), n_seeds=1, n_configs=1, n_reruns=1,
                    sigma_seed=0, sigma_hparam=0, sigma_eps=0)
+    with pytest.raises(SimulationError, match="generator_seed must be >= 0"):
+        _design(generator_seed=-1)
+
+
+# ---------------------------------------------------------------------------
+# substream seeding: the vectorised pass against the per-draw definition
+# ---------------------------------------------------------------------------
+
+
+def _per_draw_response(design):
+    """The response as the per-draw definition gives it: one
+    ``_normal`` substream per draw, summed leaf by leaf in Python floats."""
+    labels = generate(design)
+    seeds = labels.levels("seed")
+    configs = labels.levels("hparams")
+    seed_effect = {s: _normal(design.generator_seed, design.sigma_seed, "seed", s)
+                   for s in seeds}
+    config_effect = {c: _normal(design.generator_seed, design.sigma_hparam, "config", c)
+                     for c in configs}
+    mu = {(m, o): value for m, o, value in design.combos}
+    y = []
+    for i in range(labels.n):
+        m, o, s, c, r = (labels.levels(name)[labels.level_codes(name)[i]]
+                         for name in ("model", "optimizer", "seed", "hparams", "rerun"))
+        path = ("eps", f"{m}:{o}", s, c) + ((r,) if design.rerun_mode == "noisy" else ())
+        base = mu[m, o] + seed_effect[s] + config_effect[c]
+        y.append(base + _normal(design.generator_seed, design.sigma_eps, *path))
+    return np.array(y)
+
+
+def test_seed_words_match_seed_sequence():
+    keys = np.random.default_rng(2024).integers(0, 2 ** 64, 5000, dtype=np.uint64)
+    keys = np.concatenate([keys, np.array([0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1],
+                                          dtype=np.uint64)])
+    for root in (0, 1, 2 ** 32 - 1):
+        expected = np.array([np.random.SeedSequence([root, int(key)])
+                             .generate_state(4, np.uint64) for key in keys])
+        words = _seed_words(root, keys)
+        assert words.dtype == np.uint64
+        assert np.array_equal(words, expected), root
+
+
+@pytest.mark.parametrize("root", [0, 7, 2 ** 32 - 1, 2 ** 32 + 5, 2 ** 64 + 1])
+@pytest.mark.parametrize("shape", [dict(rerun_mode="noisy"),
+                                   dict(rerun_mode="deterministic"),
+                                   dict(rerun_mode="noisy", nested_configs=True)])
+def test_generate_is_bit_identical_to_per_draw_substreams(root, shape):
+    # roots from 2**32 up take more than one entropy word: the per-draw route
+    design = _design(generator_seed=root, n_seeds=3, n_configs=4, n_reruns=2, **shape)
+    assert generate(design).response().tobytes() == _per_draw_response(design).tobytes()
+
+
+@pytest.mark.parametrize("root", [0, 2 ** 32 + 5])
+def test_zero_sd_makes_no_draw(monkeypatch, root):
+    def no_draw(*args):
+        raise AssertionError("a draw was made for a zero sd")
+    monkeypatch.setattr(simulate, "_digest", no_draw)
+    monkeypatch.setattr(simulate, "_substream", no_draw)
+    ds = generate(_design(generator_seed=root, sigma_seed=0.0, sigma_hparam=0.0,
+                          sigma_eps=0.0, rerun_mode="noisy"))
+    assert ds.n == 3 * 4 * 5 * 3
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +225,8 @@ def test_sampler_determinism_and_validation():
         sample_hyperparams({}, 5, seed=4)
     with pytest.raises(SimulationError):
         sample_hyperparams(space, 0, seed=4)
+    with pytest.raises(SimulationError, match="seed must be >= 0"):
+        sample_hyperparams(space, 5, seed=-1)
 
 
 def test_from_json_round_trip():
