@@ -6,10 +6,13 @@ ANOVA and the means comparisons, simulate synthetic experiment trees, and
 emit plot-ready grouped summaries. Every command is deterministic given
 its configuration, including generator seeds.
 
+``_COMMANDS`` is the one table of the settings (``AnalysisConfig``
+fields) each command reads; the parser and the config-file reader are
+built from it, so a command takes exactly those as flags and config keys.
 Settings resolve in three layers: built-in defaults, then command-line
 flags, then entries of the --config JSON file, which take precedence over
-flags. Exit codes: 0 success, 1 statistical or convergence failure, 2 I/O
-or schema error.
+flags. Exit codes: 0 success, 1 statistical or convergence failure, 2 I/O,
+schema or usage error (a flag or config key the command does not read).
 """
 
 from __future__ import annotations
@@ -103,8 +106,11 @@ def _column_renames(value) -> dict[str, str]:
     return renames
 
 
-def _setting(convert, default=None):
-    return field(default=default, metadata={"convert": convert})
+def _setting(convert, default=None, flag=None, **argparse_kwargs):
+    """A setting's field: its converter, and its flag (``--name`` unless
+    ``flag`` is given) with the flag's argparse keywords, help included."""
+    return field(default=default, metadata={"convert": convert, "flag": flag,
+                                            "argparse": argparse_kwargs})
 
 
 @dataclass
@@ -117,27 +123,41 @@ class AnalysisConfig:
     """
 
     command: str
-    input: str | None = _setting(_text)
-    output_dir: str | None = _setting(_text)
-    formats: tuple[str, ...] = _setting(_names("csv", "json"), ("csv", "json"))
+    input: str | None = _setting(_text, help="input CSV of experiment results")
+    output_dir: str | None = _setting(_text, help="directory for report files")
+    formats: tuple[str, ...] = _setting(
+        _names("csv", "json"), ("csv", "json"), flag="--format", metavar="FORMAT",
+        help="comma list of output formats (csv,json)")
     seed: int | None = _setting(_number(int, "a non-negative integer",
-                                        lambda value: value >= 0))
-    criterion: str = _setting(_one_of("REML", "ML", fold=str.upper), "REML")
-    boundary_correction: bool = _setting(_boolean, False)
+                                        lambda value: value >= 0), help="generator seed")
+    criterion: str = _setting(_one_of("REML", "ML", fold=str.upper), "REML",
+                              help="estimation criterion, reml or ml (default reml)")
+    boundary_correction: bool = _setting(_boolean, False, action="store_true",
+                                         help="halve LRT p-values for the boundary null")
     confidence: float = _setting(
-        _number(float, "a number in (0, 1)", lambda value: 0.0 < value < 1.0), 0.95)
-    response: str = _setting(_text, ModelSpec.response)
-    fixed_factor: str = _setting(_text, ModelSpec.fixed_factor)
-    random_factors: tuple[str, ...] = _setting(_names(), ModelSpec.random_factors)
-    coding: str = _setting(_one_of("treatment", "sum_to_zero"),
-                           ModelSpec.contrast_coding)
-    intercept: bool = _setting(_boolean, ModelSpec.include_intercept)
-    columns: dict | None = _setting(_column_renames)
-    levels: tuple[str, ...] | None = _setting(_names())
-    kind: str = _setting(_one_of("vs_grand", "vs_reference"), "vs_grand")
-    design: str | None = _setting(_text)
-    space: str | None = _setting(_text)
-    n: int = _setting(_number(int, "an integer"), 10)
+        _number(float, "a number in (0, 1)", lambda value: 0.0 < value < 1.0), 0.95,
+        help="confidence level for intervals (default 0.95)")
+    response: str = _setting(_text, ModelSpec.response,
+                             help="response column name (default accuracy)")
+    fixed_factor: str = _setting(_text, ModelSpec.fixed_factor,
+                                 help="fixed factor, may be composite like model:optimizer")
+    random_factors: tuple[str, ...] = _setting(
+        _names(), ModelSpec.random_factors,
+        help="comma list of grouping factors (default seed,hparams)")
+    coding: str = _setting(_one_of("treatment", "sum_to_zero"), ModelSpec.contrast_coding,
+                           help="fixed-factor contrast coding, treatment or sum_to_zero")
+    intercept: bool = _setting(_boolean, ModelSpec.include_intercept, flag="--no-intercept",
+                               action="store_false", help="drop the intercept column")
+    columns: dict | None = _setting(_column_renames,
+                                    help="role=column renames, e.g. model=arch,seed=rng")
+    levels: tuple[str, ...] | None = _setting(
+        _names(), help="comma list of fixed-factor levels (default: all levels)")
+    kind: str = _setting(_one_of("vs_grand", "vs_reference"), "vs_grand",
+                         help="comparison baseline, vs_grand (default) or vs_reference")
+    design: str | None = _setting(_text, help="JSON file with the tree design")
+    space: str | None = _setting(_text, help="JSON file with the search space")
+    n: int = _setting(_number(int, "an integer >= 1", lambda value: value >= 1), 10,
+                      help="number of configurations (default 10)")
 
     def model_spec(self) -> ModelSpec:
         return ModelSpec(response=self.response, fixed_factor=self.fixed_factor,
@@ -146,92 +166,56 @@ class AnalysisConfig:
                          include_intercept=self.intercept)
 
 
+_SETTINGS = {f.name: f.metadata for f in dataclasses.fields(AnalysisConfig) if f.metadata}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="expvar",
         description="Variance-component analysis of experiment results "
                     "with crossed random-effect mixed models.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file; overrides flags")
-    common.add_argument("--input", help="input CSV of experiment results")
-    common.add_argument("--output-dir", help="directory for report files")
-    common.add_argument("--format", dest="formats", metavar="FORMAT",
-                        help="comma list of output formats (csv,json)")
-    common.add_argument("--seed", help="generator seed")
-    common.add_argument("--criterion", help="estimation criterion, reml or ml "
-                                            "(default reml)")
-    common.add_argument("--boundary-correction", action="store_true", default=None,
-                        help="halve LRT p-values for the boundary null")
-    common.add_argument("--confidence",
-                        help="confidence level for intervals (default 0.95)")
-    common.add_argument("--response", help="response column name (default accuracy)")
-    common.add_argument("--fixed-factor",
-                        help="fixed factor, may be composite like model:optimizer")
-    common.add_argument("--random-factors",
-                        help="comma list of grouping factors (default seed,hparams)")
-    common.add_argument("--coding", help="fixed-factor contrast coding, "
-                                         "treatment or sum_to_zero")
-    common.add_argument("--no-intercept", dest="intercept", action="store_false",
-                        default=None, help="drop the intercept column")
-    common.add_argument("--columns",
-                        help="role=column renames, e.g. model=arch,seed=rng")
-
-    sub.add_parser("fit", parents=[common],
-                   help="fit the mixed model, report variance components")
-    sub.add_parser("ranova", parents=[common],
-                   help="likelihood-ratio test per random factor")
-    sub.add_parser("anova", parents=[common],
-                   help="fixed-effects F test with Satterthwaite DenDF")
-    pc = sub.add_parser("contrasts", parents=[common],
-                        help="means comparisons with confidence intervals")
-    pc.add_argument("--levels", help="comma list of fixed-factor levels "
-                                     "(default: all levels)")
-    pc.add_argument("--kind", help="comparison baseline, vs_grand or "
-                                   "vs_reference (default vs_grand)")
-    ps = sub.add_parser("simulate", parents=[common],
-                        help="generate a synthetic experiment tree")
-    ps.add_argument("--design", help="JSON file with the tree design")
-    ph = sub.add_parser("sample-hparams", parents=[common],
-                        help="draw hyper-parameter configurations")
-    ph.add_argument("--space", help="JSON file with the search space")
-    ph.add_argument("--n", help="number of configurations")
-    sub.add_parser("boxplot-data", parents=[common],
-                   help="five-number summaries per experiment group")
+    for command, (_, help_text, reads) in _COMMANDS.items():
+        # no abbreviations: on fit, "--n" would otherwise mean --no-intercept
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
+        p.add_argument("--config", help="JSON config file; overrides flags")
+        for name in reads:
+            meta = _SETTINGS[name]
+            p.add_argument(meta["flag"] or "--" + name.replace("_", "-"), dest=name,
+                           default=None, **meta["argparse"])
     return parser
 
 
-def _read_json(path: Path, kind: str):
-    """Parse the JSON file at ``path``; ``kind`` names it in errors."""
+def _read_json(path: Path, kind: str) -> dict:
+    """Parse the JSON object in the file at ``path``; ``kind`` names it in errors."""
     if not path.exists():
         raise ConfigError(f"{kind} file does not exist: {path}")
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        obj = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{kind} file {path} must hold a JSON object")
+    return obj
 
 
 def _resolve_config(args: argparse.Namespace) -> AnalysisConfig:
     config = AnalysisConfig(command=args.command)
-    settings = {f.name: f.metadata["convert"] for f in dataclasses.fields(config)
-                if f.metadata}
+    reads = _COMMANDS[args.command][2]
     # flags, then config-file entries, which take precedence
-    given = [(key, getattr(args, key, None), key) for key in settings]
+    given = [(key, getattr(args, key), key) for key in reads]
     if args.config:
-        path = Path(args.config)
-        overrides = _read_json(path, "config")
-        if not isinstance(overrides, dict):
-            raise ConfigError(f"config file {path} must hold a JSON object")
         given += [("formats" if key == "format" else key, value, f"config key {key!r}")
-                  for key, value in overrides.items()]
+                  for key, value in _read_json(Path(args.config), "config").items()]
     for key, value, source in given:
-        if key not in settings:
-            raise ConfigError(f"unknown config key {key!r}")
+        if key not in _SETTINGS:
+            raise ConfigError(f"unknown {source}")
+        if key not in reads:
+            raise ConfigError(f"{source} does not apply to {args.command}")
         if value is None or value == "":
             continue  # an absent, null or empty value keeps the default
         try:
-            setattr(config, key, settings[key](value))
+            setattr(config, key, _SETTINGS[key]["convert"](value))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{source}: {exc}") from None
     return config
@@ -256,14 +240,16 @@ def _write_tables(config: AnalysisConfig, tables: list[Table],
             json.dumps(extra_json, indent=2) + "\n", encoding="utf-8")
 
 
-def _load_and_prepare(config: AnalysisConfig):
+def _load(config: AnalysisConfig):
     if not config.input:
         raise ConfigError("--input is required for this command")
+    return load_csv(config.input, config.model_spec(), columns=config.columns or None)
+
+
+def _load_and_prepare(config: AnalysisConfig):
     spec = config.model_spec()
-    dataset = load_csv(config.input, spec, columns=config.columns or None)
-    dataset = ensure_factor(dataset, spec.fixed_factor)
-    dm = build_design(dataset, spec)
-    return dataset, spec, dm
+    dataset = ensure_factor(_load(config), spec.fixed_factor)
+    return dataset, spec, build_design(dataset, spec)
 
 
 def cmd_fit(config: AnalysisConfig) -> int:
@@ -305,29 +291,39 @@ def cmd_contrasts(config: AnalysisConfig) -> int:
     return EXIT_OK
 
 
+_count, _real = _number(int, "an integer"), _number(float, "a number")
+
+
+def _combo(value) -> tuple[str, str, float]:
+    model, optimizer, mean = _typed(list, "a [model, optimizer, mean] list")(value)
+    return _text(model), _text(optimizer), _real(mean)
+
+
+#: The converter of each design-file entry, one per ``TreeDesign`` field.
+_DESIGN_FIELDS = {"combos": lambda value: tuple(map(_combo, _typed(list, "a list")(value))),
+                  "n_seeds": _count, "n_configs": _count, "n_reruns": _count,
+                  "sigma_seed": _real, "sigma_hparam": _real, "sigma_eps": _real,
+                  "rerun_mode": _text, "generator_seed": _count, "nested_configs": _boolean}
+
+
 def _tree_design(config: AnalysisConfig) -> TreeDesign:
     if not config.design:
         raise ConfigError("--design JSON file is required for simulate")
     path = Path(config.design)
     obj = _read_json(path, "design")
-    try:
-        design = TreeDesign(
-            combos=tuple((c[0], c[1], float(c[2])) for c in obj["combos"]),
-            n_seeds=int(obj["n_seeds"]), n_configs=int(obj["n_configs"]),
-            n_reruns=int(obj["n_reruns"]),
-            sigma_seed=float(obj["sigma_seed"]),
-            sigma_hparam=float(obj["sigma_hparam"]),
-            sigma_eps=float(obj["sigma_eps"]),
-            rerun_mode=obj.get("rerun_mode", "deterministic"),
-            generator_seed=int(obj.get("generator_seed", 0)),
-            nested_configs=bool(obj.get("nested_configs", False)))
-    except SimulationError:
-        raise  # a ValueError too, but a statistical refusal (exit 1)
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
-        raise ConfigError(f"malformed design file {path}: {exc}") from None
+    if unknown := sorted(set(obj) - set(_DESIGN_FIELDS)):
+        raise ConfigError(f"malformed design file {path}: unknown keys {unknown}")
+    kwargs = {}
+    for f in dataclasses.fields(TreeDesign):
+        if f.name not in obj and f.default is dataclasses.MISSING:
+            raise ConfigError(f"malformed design file {path}: missing {f.name!r}")
+        try:
+            kwargs[f.name] = _DESIGN_FIELDS[f.name](obj.get(f.name, f.default))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed design file {path}: {f.name}: {exc}") from None
     if config.seed is not None:
-        design = dataclasses.replace(design, generator_seed=config.seed)
-    return design
+        kwargs["generator_seed"] = config.seed
+    return TreeDesign(**kwargs)
 
 
 def cmd_simulate(config: AnalysisConfig) -> int:
@@ -337,16 +333,7 @@ def cmd_simulate(config: AnalysisConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "dataset.csv"
     write_csv(dataset, csv_path)
-    truth = {
-        "combos": [list(c) for c in design.combos],
-        "n_seeds": design.n_seeds, "n_configs": design.n_configs,
-        "n_reruns": design.n_reruns,
-        "sigma_seed": design.sigma_seed, "sigma_hparam": design.sigma_hparam,
-        "sigma_eps": design.sigma_eps, "rerun_mode": design.rerun_mode,
-        "generator_seed": design.generator_seed,
-        "nested_configs": design.nested_configs,
-        "n_records": dataset.n,
-    }
+    truth = dict(dataclasses.asdict(design), n_records=dataset.n)
     (out / "truth.json").write_text(json.dumps(truth, indent=2) + "\n",
                                     encoding="utf-8")
     sys.stdout.write(f"wrote {csv_path} ({dataset.n} records) and "
@@ -357,10 +344,7 @@ def cmd_simulate(config: AnalysisConfig) -> int:
 def cmd_sample_hparams(config: AnalysisConfig) -> int:
     if not config.space:
         raise ConfigError("--space JSON file is required for sample-hparams")
-    path = Path(config.space)
-    obj = _read_json(path, "space")
-    if not isinstance(obj, dict):
-        raise ConfigError(f"space file {path} must hold a JSON object")
+    obj = _read_json(Path(config.space), "space")
     space = {name: HyperparamDistribution.from_json(d) for name, d in obj.items()}
     configs = sample_hyperparams(space, config.n, config.seed or 0)
     names = list(space)
@@ -371,22 +355,28 @@ def cmd_sample_hparams(config: AnalysisConfig) -> int:
 
 
 def cmd_boxplot_data(config: AnalysisConfig) -> int:
-    if not config.input:
-        raise ConfigError("--input is required for this command")
-    dataset = load_csv(config.input, config.model_spec(),
-                       columns=config.columns or None)
-    _write_tables(config, [boxplot_table(dataset)])
+    _write_tables(config, [boxplot_table(_load(config))])
     return EXIT_OK
 
 
+#: The model settings: every command that fits a model reads them.
+_MODEL = ("input", "output_dir", "formats", "criterion", "response", "fixed_factor",
+          "random_factors", "coding", "intercept", "columns")
+
+#: Per command: handler, help, and the settings it reads, its only flags and config keys.
 _COMMANDS = {
-    "fit": cmd_fit,
-    "ranova": cmd_ranova,
-    "anova": cmd_anova,
-    "contrasts": cmd_contrasts,
-    "simulate": cmd_simulate,
-    "sample-hparams": cmd_sample_hparams,
-    "boxplot-data": cmd_boxplot_data,
+    "fit": (cmd_fit, "fit the mixed model, report variance components", _MODEL),
+    "ranova": (cmd_ranova, "likelihood-ratio test per random factor",
+               (*_MODEL, "boundary_correction")),
+    "anova": (cmd_anova, "fixed-effects F test with Satterthwaite DenDF", _MODEL),
+    "contrasts": (cmd_contrasts, "means comparisons with confidence intervals",
+                  (*_MODEL, "confidence", "levels", "kind")),
+    "simulate": (cmd_simulate, "generate a synthetic experiment tree",
+                 ("design", "output_dir", "seed")),
+    "sample-hparams": (cmd_sample_hparams, "draw hyper-parameter configurations",
+                       ("space", "n", "seed", "output_dir", "formats")),
+    "boxplot-data": (cmd_boxplot_data, "five-number summaries per experiment group",
+                     ("input", "output_dir", "formats", "response", "columns")),
 }
 
 
@@ -395,7 +385,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _resolve_config(args)
-        return _COMMANDS[args.command](config)
+        return _COMMANDS[args.command][0](config)
     except (ConfigError, DataError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_IO

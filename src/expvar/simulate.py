@@ -286,7 +286,8 @@ class HyperparamDistribution:
 
     @classmethod
     def from_json(cls, obj) -> "HyperparamDistribution":
-        """Build from a {"kind": ..., ...} mapping (parsed JSON)."""
+        """Build from a {"kind": ..., ...} mapping (parsed JSON); bounds, mean
+        and sd must be numbers, and values JSON scalars."""
         if not isinstance(obj, dict) or "kind" not in obj:
             raise SimulationError(f"distribution spec must be a mapping with 'kind', "
                                   f"got {obj!r}")
@@ -295,8 +296,16 @@ class HyperparamDistribution:
         if unknown:
             raise SimulationError(f"unknown distribution fields {sorted(unknown)}")
         kwargs = dict(obj)
-        if "values" in kwargs and kwargs["values"] is not None:
-            kwargs["values"] = tuple(kwargs["values"])
+        for name in ("low", "high", "mean", "sd"):
+            if isinstance(kwargs.get(name), (bool, str, list, dict)):
+                raise SimulationError(f"{name} must be a number, got {kwargs[name]!r}")
+        values = kwargs.get("values")
+        if values is not None and not isinstance(values, list):
+            raise SimulationError(f"values must be a list, got {values!r}")
+        for value in (*(values or ()), kwargs.get("value")):
+            if isinstance(value, (list, dict)):
+                raise SimulationError(f"values must be JSON scalars, got {value!r}")
+        kwargs["values"] = None if values is None else tuple(values)
         return cls(**kwargs)
 
     def draw(self, rng: np.random.Generator):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from expvar.cli import AnalysisConfig, main
+from expvar.cli import _COMMANDS, AnalysisConfig, _build_parser, _resolve_config, main
 from expvar.data import Dataset, ModelSpec, write_csv
 from expvar.simulate import TreeDesign, generate
 from expvar.tails import t_quantile, t_sf
@@ -264,9 +265,9 @@ def test_csv_and_json_values_agree(tmp_path):
 
 def test_config_file_overrides_flags(tmp_path):
     data, _ = _write_dataset(tmp_path)
-    # each setting in its JSON form: lists, an object, a boolean, numbers
+    # each setting in its JSON form: lists, an object, a boolean, a string
     config = {"criterion": "ML", "format": ["json"], "random_factors": ["seed", "hparams"],
-              "columns": {"seed": "seed"}, "intercept": True, "confidence": 0.9, "seed": 3}
+              "columns": {"seed": "seed"}, "intercept": True}
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
     out = tmp_path / "out"
@@ -278,11 +279,46 @@ def test_config_file_overrides_flags(tmp_path):
     assert not list(out.glob("*.csv"))
 
 
+def test_config_file_overrides_confidence_flag(tmp_path):
+    # the confidence key of the test above, on the command that reads it
+    data, _ = _write_dataset(tmp_path)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"confidence": 0.9}))
+    out = tmp_path / "out"
+    assert main(["contrasts", "--input", str(data), "--confidence", "0.5",
+                 "--config", str(config_path), "--output-dir", str(out)]) == 0
+    for r in json.loads((out / "means_comparisons.json").read_text())["rows"]:
+        half = (r["upper"] - r["lower"]) / 2.0
+        assert half == pytest.approx(t_quantile(0.95, r["df"]) * r["Std. Error"], rel=1e-9)
+
+
+def test_config_file_overrides_seed_flag(tmp_path):
+    # the seed key of the test above, on the commands that read it
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"seed": 3}))
+    design = tmp_path / "design.json"
+    design.write_text(json.dumps(_DESIGN))
+    out = tmp_path / "sim"
+    assert main(["simulate", "--design", str(design), "--output-dir", str(out),
+                 "--seed", "5", "--config", str(config_path)]) == 0
+    assert json.loads((out / "truth.json").read_text())["generator_seed"] == 3
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"lr": {"kind": "uniform", "low": 0, "high": 1}}))
+    draws = {}
+    for name, extra in (("flag", ["--seed", "3"]), ("config", ["--seed", "5", "--config",
+                                                                str(config_path)])):
+        assert main(["sample-hparams", "--space", str(space), "--n", "4",
+                     "--output-dir", str(tmp_path / name), *extra]) == 0
+        draws[name] = (tmp_path / name / "hyperparameters.json").read_text()
+    assert draws["flag"] == draws["config"]
+
+
 def test_bad_config_key_exits_2(tmp_path, capsys):
     data, _ = _write_dataset(tmp_path)
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"not_a_setting": 1}))
     assert main(["fit", "--input", str(data), "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err == "error: unknown config key 'not_a_setting'\n"
 
 
 _DESIGN = {"combos": [["m", "adam", 0.5]], "n_seeds": 2, "n_configs": 2,
@@ -290,63 +326,105 @@ _DESIGN = {"combos": [["m", "adam", 0.5]], "n_seeds": 2, "n_configs": 2,
            "sigma_eps": 0.01}
 
 
-#: Config-file values of the wrong type or value, and keys of fit settings
-#: that no longer exist: the recipe of every fit is fixed.
+def _base_argv(tmp_path, command):
+    """A valid invocation of ``command`` that reads only files it writes."""
+    if command == "simulate":
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps(_DESIGN))
+        return ["simulate", "--design", str(design), "--output-dir", str(tmp_path / "sim")]
+    if command == "sample-hparams":
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps({"lr": {"kind": "uniform", "low": 0, "high": 1}}))
+        return ["sample-hparams", "--space", str(space), "--n", "2"]
+    data, _ = _write_dataset(tmp_path)
+    return [command, "--input", str(data)]
+
+
+#: Config-file values of the wrong type or value, each on a command that
+#: reads the setting, and keys of fit settings that no longer exist: the
+#: recipe of every fit is fixed.
 _BAD_CONFIGS = {
-    "config_confidence_not_a_number": {"confidence": "x"},
-    "config_criterion_not_a_string": {"criterion": 5},
-    "config_criterion_unknown": {"criterion": "foo"},
-    "config_intercept_not_a_boolean": {"intercept": "no"},
-    "config_random_factors_not_a_list": {"random_factors": {"seed": 1}},
-    "config_seed_negative": {"seed": -1},
-    "config_removed_tol": {"tol": 1e-6},
-    "config_removed_max_evals": {"max_evals": 1000},
-    "config_removed_multistart": {"multistart": [0.1, 1.0, 10.0]},
+    "config_confidence_not_a_number": ("contrasts", {"confidence": "x"}),
+    "config_criterion_not_a_string": ("fit", {"criterion": 5}),
+    "config_criterion_unknown": ("fit", {"criterion": "foo"}),
+    "config_intercept_not_a_boolean": ("fit", {"intercept": "no"}),
+    "config_random_factors_not_a_list": ("fit", {"random_factors": {"seed": 1}}),
+    "config_seed_negative": ("simulate", {"seed": -1}),
+    "config_n_zero": ("sample-hparams", {"n": 0}),
+    "config_removed_tol": ("fit", {"tol": 1e-6}),
+    "config_removed_max_evals": ("fit", {"max_evals": 1000}),
+    "config_removed_multistart": ("fit", {"multistart": [0.1, 1.0, 10.0]}),
 }
+#: Flag values a command reads but cannot convert.
 _BAD_FLAGS = {
-    "seed_flag_not_an_integer": ["--seed", "abc"],
-    "seed_flag_negative": ["--seed", "-1"],
-    "criterion_flag_unknown": ["--criterion", "foo"],
-    "confidence_flag_out_of_range": ["--confidence", "1.5"],
+    "seed_flag_not_an_integer": ("simulate", ["--seed", "abc"]),
+    "seed_flag_negative": ("sample-hparams", ["--seed", "-1"]),
+    "criterion_flag_unknown": ("fit", ["--criterion", "foo"]),
+    "confidence_flag_out_of_range": ("contrasts", ["--confidence", "1.5"]),
+    "n_flag_zero": ("sample-hparams", ["--n", "0"]),
+    "n_flag_not_an_integer": ("sample-hparams", ["--n", "2.5"]),
+}
+#: Malformed design-file entries; a value of None drops the entry.
+_BAD_DESIGNS = {
+    "design_sd_not_a_number": {"sigma_seed": "abc"},
+    "design_count_not_an_integer": {"n_seeds": 2.9},
+    "design_count_a_boolean": {"n_configs": True},
+    "design_generator_seed_not_an_integer": {"generator_seed": 7.9},
+    "design_nested_configs_not_a_boolean": {"nested_configs": 1},
+    "design_combo_not_a_triple": {"combos": [["m", "adam"]]},
+    "design_combo_mean_not_a_number": {"combos": [["m", "adam", "high"]]},
+    "design_missing_count": {"n_reruns": None},
+    "design_unknown_key": {"nested_config": True},
 }
 
 
 @pytest.mark.parametrize("case", ["columns_without_equals", "space_not_object",
                                   "simulate_seed_negative", "sample_hparams_seed_negative",
-                                  "design_sd_not_a_number", *_BAD_CONFIGS, *_BAD_FLAGS])
+                                  *_BAD_CONFIGS, *_BAD_FLAGS, *_BAD_DESIGNS])
 def test_malformed_input_exits_2_with_error_line(tmp_path, capsys, case):
-    data, _ = _write_dataset(tmp_path)
     if case == "columns_without_equals":
-        argv = ["fit", "--input", str(data), "--columns", "seed"]
+        argv = _base_argv(tmp_path, "fit") + ["--columns", "seed"]
     elif case in _BAD_CONFIGS:
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps(_BAD_CONFIGS[case]))
-        argv = ["fit", "--input", str(data), "--config", str(config)]
+        command, config = _BAD_CONFIGS[case]
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        argv = _base_argv(tmp_path, command) + ["--config", str(config_path)]
     elif case in _BAD_FLAGS:
-        argv = ["fit", "--input", str(data), *_BAD_FLAGS[case]]
+        command, flags = _BAD_FLAGS[case]
+        argv = _base_argv(tmp_path, command) + flags
     elif case == "space_not_object":
         space = tmp_path / "space.json"
         space.write_text(json.dumps([{"kind": "uniform", "low": 0, "high": 1}]))
         argv = ["sample-hparams", "--space", str(space), "--n", "2"]
     elif case == "sample_hparams_seed_negative":
-        space = tmp_path / "space.json"
-        space.write_text(json.dumps({"lr": {"kind": "uniform", "low": 0, "high": 1}}))
-        argv = ["sample-hparams", "--space", str(space), "--n", "2", "--seed", "-1"]
+        argv = _base_argv(tmp_path, "sample-hparams") + ["--seed", "-1"]
     elif case == "simulate_seed_negative":
-        design = tmp_path / "design.json"
-        design.write_text(json.dumps(_DESIGN))
-        argv = ["simulate", "--design", str(design), "--output-dir",
-                str(tmp_path / "sim"), "--seed", "-1"]
+        argv = _base_argv(tmp_path, "simulate") + ["--seed", "-1"]
     else:
-        design = tmp_path / "design.json"
-        design.write_text(json.dumps(dict(_DESIGN, sigma_seed="abc")))
-        argv = ["simulate", "--design", str(design), "--output-dir",
-                str(tmp_path / "sim")]
+        argv = _base_argv(tmp_path, "simulate")
+        design = dict(_DESIGN, **_BAD_DESIGNS[case])
+        (tmp_path / "design.json").write_text(
+            json.dumps({key: value for key, value in design.items() if value is not None}))
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     if "removed" in case:
         assert "unknown config key" in err
+    if case.startswith("design_"):
+        assert "malformed design file" in err
+        assert not (tmp_path / "sim").exists()
+
+
+def test_non_scalar_hparam_value_exits_1_before_any_output(tmp_path, capsys):
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"batch": {"kind": "discrete_uniform",
+                                           "values": [[1, 2], [3]]}}))
+    out = tmp_path / "hp"
+    assert main(["sample-hparams", "--space", str(space), "--output-dir", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: values must be JSON scalars, got [1, 2]\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--tol", "--max-evals", "--multistart"])
@@ -356,6 +434,79 @@ def test_removed_fit_flags_are_usage_errors(tmp_path, capsys, flag):
         main(["fit", "--input", str(data), flag, "1"])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["fit", "--n"], ["ranova", "--boundary"],
+                                  ["fit", "--out", "o"], ["simulate", "--se", "3"]])
+def test_abbreviated_flags_are_usage_errors(tmp_path, capsys, argv):
+    # a prefix would otherwise select a flag: "--n" on fit is not --n of
+    # sample-hparams but a silent --no-intercept
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+#: The settings each command reads, as documented in the README.
+_MODEL_SETTINGS = {"input", "output_dir", "formats", "criterion", "response", "fixed_factor",
+                   "random_factors", "coding", "intercept", "columns"}
+_READS = {
+    "fit": _MODEL_SETTINGS,
+    "ranova": _MODEL_SETTINGS | {"boundary_correction"},
+    "anova": _MODEL_SETTINGS,
+    "contrasts": _MODEL_SETTINGS | {"confidence", "levels", "kind"},
+    "simulate": {"design", "output_dir", "seed"},
+    "sample-hparams": {"space", "n", "seed", "output_dir", "formats"},
+    "boxplot-data": {"input", "output_dir", "formats", "response", "columns"},
+}
+#: Each setting as flags and as a config-file value, neither of them its default.
+_GIVEN = {
+    "input": (["--input", "d.csv"], "d.csv"),
+    "output_dir": (["--output-dir", "out"], "out"),
+    "formats": (["--format", "json"], ["json"]),
+    "seed": (["--seed", "3"], 3),
+    "criterion": (["--criterion", "ml"], "ML"),
+    "boundary_correction": (["--boundary-correction"], True),
+    "confidence": (["--confidence", "0.9"], 0.9),
+    "response": (["--response", "loss"], "loss"),
+    "fixed_factor": (["--fixed-factor", "model"], "model"),
+    "random_factors": (["--random-factors", "seed"], ["seed"]),
+    "coding": (["--coding", "sum_to_zero"], "sum_to_zero"),
+    "intercept": (["--no-intercept"], False),
+    "columns": (["--columns", "seed=rng"], {"seed": "rng"}),
+    "levels": (["--levels", "a,b"], ["a", "b"]),
+    "kind": (["--kind", "vs_reference"], "vs_reference"),
+    "design": (["--design", "d.json"], "d.json"),
+    "space": (["--space", "s.json"], "s.json"),
+    "n": (["--n", "3"], 3),
+}
+
+
+def test_commands_read_the_documented_settings():
+    assert set(_GIVEN) == {f.name for f in dataclasses.fields(AnalysisConfig)} - {"command"}
+    assert {command: set(entry[2]) for command, entry in _COMMANDS.items()} == _READS
+    assert sum(map(len, _READS.values())) == 57
+
+
+@pytest.mark.parametrize("setting", sorted(_GIVEN))
+@pytest.mark.parametrize("command", sorted(_READS))
+def test_a_command_takes_exactly_the_settings_it_reads(tmp_path, capsys, command, setting):
+    flags, value = _GIVEN[setting]
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({setting: value}))
+    if setting in _COMMANDS[command][2]:
+        default = getattr(AnalysisConfig(command=command), setting)
+        for argv in ([command, *flags], [command, "--config", str(config_path)]):
+            config = _resolve_config(_build_parser().parse_args(argv))
+            assert getattr(config, setting) != default, argv
+        return
+    with pytest.raises(SystemExit) as exc:
+        main([command, *flags])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith("expvar: error: ")
+    assert main([command, "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err == (f"error: config key {setting!r} does not "
+                                       f"apply to {command}\n")
 
 
 def test_config_defaults_come_from_library_defaults():

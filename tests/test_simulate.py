@@ -237,3 +237,27 @@ def test_from_json_round_trip():
         HyperparamDistribution.from_json({"kind": "triangular", "low": 0, "high": 1})
     with pytest.raises(SimulationError):
         HyperparamDistribution.from_json({"low": 0, "high": 1})
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "discrete_uniform", "values": [[1, 2], [3]]},
+    {"kind": "discrete_uniform", "values": [16, {"a": 1}]},
+    {"kind": "discrete_uniform", "values": 5},
+    {"kind": "constant", "value": [1, 2]},
+    {"kind": "constant", "value": {"a": 1}},
+    {"kind": "uniform", "low": "abc", "high": 1},
+    {"kind": "normal", "mean": 0.0, "sd": "x"},
+    {"kind": "log_uniform", "low": True, "high": 2},
+], ids=["nested_lists", "object_value", "values_not_a_list", "constant_list",
+        "constant_object", "bound_not_a_number", "sd_not_a_number", "bound_a_boolean"])
+def test_from_json_refuses_non_scalar_values_and_non_numeric_parameters(spec):
+    # refused like an unknown kind, before a draw or a report sees the value
+    with pytest.raises(SimulationError):
+        HyperparamDistribution.from_json(spec)
+
+
+def test_from_json_keeps_scalar_values():
+    dist = HyperparamDistribution.from_json(
+        {"kind": "discrete_uniform", "values": ["a", 2, 0.5, True, None]})
+    assert dist.values == ("a", 2, 0.5, True, None)
+    assert HyperparamDistribution.from_json({"kind": "constant", "value": "x"}).value == "x"
